@@ -80,8 +80,9 @@ void BM_ParseAndOptimizeOnly(benchmark::State& state) {
 // The same selective residual predicate (a numeric cutoff keeping ~5% of
 // rows plus a string disequality) evaluated over the whole Order table,
 // isolated from scan I/O: the data is decoded once outside the timing loop.
-// RowAtATime is the legacy path (BoundExpr tree-walk per row); Vectorized
-// is the compiled predicate program over column batches. rows_per_sec is
+// RowAtATime is the BoundExpr tree walk per row, which still runs as the
+// interpreted fallback step of compiled programs; Vectorized is the compiled
+// predicate program over column batches. rows_per_sec is
 // the headline acceptance number.
 
 struct RefineSetup {
@@ -160,8 +161,8 @@ void BM_RefineVectorized(benchmark::State& state) {
       static_cast<double>(kept) / static_cast<double>(s->frame.num_rows());
 }
 
-// End-to-end SQL with the same residual shape, through both executors.
-void BM_RefineEndToEnd(benchmark::State& state, bool interpreted) {
+// End-to-end SQL with the same residual shape.
+void BM_RefineEndToEnd(benchmark::State& state) {
   Fixture* fx = GetFixture(Dataset::kOrder, 100, Variant::kJust);
   RefineSetup* s = GetRefineSetup();
   sql::Analyzer analyzer(fx->engine.get(), fx->user);
@@ -175,8 +176,7 @@ void BM_RefineEndToEnd(benchmark::State& state, bool interpreted) {
     state.SkipWithError(optimized.status().ToString().c_str());
     return;
   }
-  sql::Executor executor(fx->engine.get(), fx->user,
-                         sql::ExecOptions{.force_interpreted = interpreted});
+  sql::Executor executor(fx->engine.get(), fx->user);
   size_t rows = 0;
   for (auto _ : state) {
     auto frame = executor.Execute(**optimized);
@@ -206,14 +206,8 @@ int main(int argc, char** argv) {
                                BM_UnoptimizedExecution);
   benchmark::RegisterBenchmark("Refine/RowAtATime", BM_RefineRowAtATime);
   benchmark::RegisterBenchmark("Refine/Vectorized", BM_RefineVectorized);
-  benchmark::RegisterBenchmark("Refine/EndToEnd/Interpreted",
-                               [](benchmark::State& s) {
-                                 BM_RefineEndToEnd(s, true);
-                               });
   benchmark::RegisterBenchmark("Refine/EndToEnd/Vectorized",
-                               [](benchmark::State& s) {
-                                 BM_RefineEndToEnd(s, false);
-                               });
+                               BM_RefineEndToEnd);
   just::bench::RunBenchmarks(argc, argv);
 
   // Print the Figure 8 plans.

@@ -132,12 +132,11 @@ Status JustEngine::DropTable(const std::string& user,
     std::lock_guard<std::mutex> lock(mu_);
     table_cache_.erase(ViewKey(user, name));
   }
-  // Delete the table's key spaces: SFC and attribute slots, plus every
-  // secondary-index slot ever assigned (slots are monotonic, so sweeping up
-  // to next_index_slot also clears orphans a crashed DROP INDEX left).
-  size_t total_slots =
-      std::max<size_t>(table_meta.indexes.size() + table_meta.attr_indexes.size(),
-                       table_meta.next_index_slot);
+  // Delete the table's key spaces: SFC slots, plus every secondary-index
+  // slot ever assigned (slots are monotonic, so sweeping up to
+  // next_index_slot also clears orphans a crashed DROP INDEX left).
+  size_t total_slots = std::max<size_t>(table_meta.indexes.size(),
+                                        table_meta.next_index_slot);
   for (size_t slot = 0; slot < total_slots; ++slot) {
     JUST_RETURN_NOT_OK(PurgeIndexKeySpace(table_meta.table_id,
                                           static_cast<uint32_t>(slot)));
@@ -196,13 +195,11 @@ Status JustEngine::CreateIndex(const std::string& user,
   meta::SecondaryIndexDef def;
   def.name = index_name;
   def.column = column;
-  // Secondary slots live above the SFC + attribute slots and are monotonic
-  // (never reused after a drop), so stale entries of a dropped index can
-  // never alias a live one.
-  def.slot = std::max<uint32_t>(
-      static_cast<uint32_t>(table_meta.indexes.size() +
-                            table_meta.attr_indexes.size()),
-      table_meta.next_index_slot);
+  // Secondary slots live above the SFC slots and are monotonic (never
+  // reused after a drop), so stale entries of a dropped index can never
+  // alias a live one.
+  def.slot = std::max<uint32_t>(static_cast<uint32_t>(table_meta.indexes.size()),
+                                table_meta.next_index_slot);
   def.state = meta::IndexState::kBuilding;
   JUST_RETURN_NOT_OK(catalog_->AddIndex(user, table, def));
   auto journal = std::make_shared<IndexBuildJournal>();
@@ -439,20 +436,6 @@ Result<exec::DataFrame> JustEngine::FullScan(const std::string& user,
   return bound->FullScan();
 }
 
-Result<exec::DataFrame> JustEngine::AttributeQuery(const std::string& user,
-                                                   const std::string& table,
-                                                   const std::string& column,
-                                                   const exec::Value& value,
-                                                   QueryStats* stats) {
-  JUST_RETURN_NOT_OK(AdmitScan(user));
-  JUST_ASSIGN_OR_RETURN(auto bound, GetTable(user, table));
-  QueryStats local;
-  if (stats == nullptr) stats = &local;
-  auto result = bound->AttributeQuery(column, value, stats);
-  ChargeScan(user, stats);
-  return result;
-}
-
 Result<exec::BatchVector> JustEngine::SpatialRangeQueryBatch(
     const std::string& user, const std::string& table, const geo::Mbr& box,
     QueryStats* stats, const ScanBudget* budget) {
@@ -487,18 +470,6 @@ Result<exec::BatchVector> JustEngine::FullScanBatch(const std::string& user,
   QueryStats local;
   if (stats == nullptr) stats = &local;
   auto result = bound->FullScanBatch(stats, budget);
-  ChargeScan(user, stats);
-  return result;
-}
-
-Result<exec::BatchVector> JustEngine::AttributeQueryBatch(
-    const std::string& user, const std::string& table,
-    const std::string& column, const exec::Value& value, QueryStats* stats) {
-  JUST_RETURN_NOT_OK(AdmitScan(user));
-  JUST_ASSIGN_OR_RETURN(auto bound, GetTable(user, table));
-  QueryStats local;
-  if (stats == nullptr) stats = &local;
-  auto result = bound->AttributeQueryBatch(column, value, stats);
   ChargeScan(user, stats);
   return result;
 }

@@ -130,14 +130,6 @@ class JustEngine {
   Result<exec::DataFrame> FullScan(const std::string& user,
                                    const std::string& table);
 
-  /// Equality lookup via a secondary attribute index (Figure 1's Attribute
-  /// Indexing; configure columns with USERDATA {'just.attr.indexes':'col'}).
-  Result<exec::DataFrame> AttributeQuery(const std::string& user,
-                                         const std::string& table,
-                                         const std::string& column,
-                                         const exec::Value& value,
-                                         QueryStats* stats = nullptr);
-
   // --- Columnar query variants (see StTable's *Batch methods) ---
 
   Result<exec::BatchVector> SpatialRangeQueryBatch(
@@ -151,11 +143,6 @@ class JustEngine {
                                           const std::string& table,
                                           QueryStats* stats = nullptr,
                                           const ScanBudget* budget = nullptr);
-  Result<exec::BatchVector> AttributeQueryBatch(const std::string& user,
-                                                const std::string& table,
-                                                const std::string& column,
-                                                const exec::Value& value,
-                                                QueryStats* stats = nullptr);
   /// Point/range lookup via a `ready` secondary index on `column`
   /// (optionally intersected with a spatial box and/or time window as a
   /// covering-value refinement). Fails if no ready index covers the column.

@@ -45,16 +45,6 @@ std::string PrefixSuccessor(std::string s) {
   return s;  // empty: no upper bound
 }
 
-/// Attribute-index cell: the serialized value, length-prefixed so the fid
-/// suffix is unambiguous.
-std::string EncodeAttrKeyPart(const exec::Value& value) {
-  std::string encoded;
-  value.SerializeTo(&encoded);
-  std::string out;
-  PutLengthPrefixed(&out, encoded);
-  return out;
-}
-
 /// Appends `s` with every 0x00 escaped as 0x00 0xFF, then a 0x00 0x01
 /// terminator: lexicographic order over the escaped bytes matches the order
 /// of the raw strings, and the terminator keeps values prefix-free so the
@@ -216,24 +206,12 @@ Status StTable::AppendWriteOps(const exec::Row& row, bool delete_instead,
     std::string key = WrapKey(slot, strategies_[slot]->EncodeKey(ref));
     ops->push_back(kv::WriteOp{std::move(key), value, delete_instead});
   }
-  // Secondary attribute indexes: shard :: table/slot :: value :: fid.
-  int shard = strategies_.empty()
-                  ? 0
-                  : strategies_[0]->ShardOf(ref.fid);
-  for (size_t a = 0; a < meta_.attr_indexes.size(); ++a) {
-    int col = meta_.ColumnIndex(meta_.attr_indexes[a]);
-    if (col < 0) continue;
-    std::string key(1, static_cast<char>(shard));
-    key += IndexPrefix(AttrSlot(a));
-    key += EncodeAttrKeyPart(row[col]);
-    key += ref.fid;
-    ops->push_back(kv::WriteOp{std::move(key), value, delete_instead});
-    IdxEntriesWrittenCounter()->Add(1);
-  }
-  // CREATE INDEX secondary indexes: same shard as the base row (index
-  // lookups stay shard-local), order-preserving value encoding, covering
-  // row value. Ops for a `building` index are mirrored into the build's
-  // catch-up journal *before* the storage write (see IndexBuildJournal).
+  // CREATE INDEX secondary indexes: shard :: table/slot :: value :: fid, on
+  // the same shard as the base row (index lookups stay shard-local), with
+  // an order-preserving value encoding and the covering row as the value.
+  // Ops for a `building` index are mirrored into the build's catch-up
+  // journal *before* the storage write (see IndexBuildJournal).
+  int shard = strategies_.empty() ? 0 : strategies_[0]->ShardOf(ref.fid);
   for (const meta::SecondaryIndexDef& def : meta_.secondary_indexes) {
     int col = meta_.ColumnIndex(def.column);
     if (col < 0) continue;
@@ -289,13 +267,6 @@ Status StTable::WriteKeys(const exec::Row& row, bool delete_instead) {
   JUST_RETURN_NOT_OK(AppendWriteOps(row, delete_instead, &ops));
   MirrorOpsToBuildJournals(ops);
   return cluster_->WriteBatch(std::move(ops));
-}
-
-bool StTable::HasAttributeIndex(const std::string& column) const {
-  for (const std::string& indexed : meta_.attr_indexes) {
-    if (indexed == column) return true;
-  }
-  return false;
 }
 
 Result<exec::BatchVector> StTable::ScanRangesToBatches(
@@ -385,45 +356,6 @@ Result<exec::BatchVector> StTable::ScanRangesToBatches(
   }
   if (record_counters) RecordQueryCounters(ranges_run, scanned, matched);
   return batches;
-}
-
-Result<exec::BatchVector> StTable::AttributeQueryBatch(
-    const std::string& column, const exec::Value& value,
-    QueryStats* stats) const {
-  size_t attr_pos = meta_.attr_indexes.size();
-  for (size_t a = 0; a < meta_.attr_indexes.size(); ++a) {
-    if (meta_.attr_indexes[a] == column) attr_pos = a;
-  }
-  if (attr_pos == meta_.attr_indexes.size()) {
-    return Status::InvalidArgument("no attribute index on column " + column);
-  }
-  std::vector<curve::KeyRange> ranges;
-  std::string value_part = EncodeAttrKeyPart(value);
-  for (int shard = 0; shard < num_shards(); ++shard) {
-    curve::KeyRange range;
-    range.start.push_back(static_cast<char>(shard));
-    range.start += IndexPrefix(AttrSlot(attr_pos));
-    range.start += value_part;
-    range.end = PrefixSuccessor(range.start);
-    ranges.push_back(std::move(range));
-  }
-  int col = meta_.ColumnIndex(column);
-  // Exact recheck of the indexed column (the key encoding is injective, but
-  // stay defensive), as a column loop over each full batch.
-  auto refine = [col, &value](exec::ColumnBatch* batch) {
-    if (col < 0 || batch->num_rows() == 0) return;
-    const exec::ColumnVector& c = batch->column(static_cast<size_t>(col));
-    std::vector<uint32_t> sel;
-    sel.reserve(batch->num_rows());
-    for (uint32_t row = 0; row < batch->num_rows(); ++row) {
-      if (c.ValueAt(row).Equals(value)) sel.push_back(row);
-    }
-    batch->SetSelection(std::move(sel));
-  };
-  return ScanRangesToBatches(ranges, refine, stats, /*budget=*/nullptr,
-                             /*dedupe_keys=*/false, /*fid_offset=*/0,
-                             /*skip_fids=*/nullptr,
-                             /*record_counters=*/true);
 }
 
 std::vector<curve::KeyRange> StTable::SecondaryIndexRanges(
@@ -525,14 +457,6 @@ Result<size_t> StTable::SecondaryIndexProbe(const meta::SecondaryIndexDef& def,
         }));
   }
   return count;
-}
-
-Result<exec::DataFrame> StTable::AttributeQuery(const std::string& column,
-                                                const exec::Value& value,
-                                                QueryStats* stats) const {
-  JUST_ASSIGN_OR_RETURN(auto batches, AttributeQueryBatch(column, value,
-                                                          stats));
-  return exec::BatchesToDataFrame(meta_.MakeSchema(), batches);
 }
 
 Status StTable::Insert(const exec::Row& row) {

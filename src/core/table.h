@@ -146,11 +146,6 @@ class StTable {
       QueryStats* stats = nullptr, const ScanBudget* budget = nullptr) const;
   Result<exec::BatchVector> FullScanBatch(
       QueryStats* stats = nullptr, const ScanBudget* budget = nullptr) const;
-  Result<exec::BatchVector> AttributeQueryBatch(const std::string& column,
-                                                const exec::Value& value,
-                                                QueryStats* stats = nullptr)
-      const;
-
   /// Point/range lookup through a CREATE INDEX secondary index. Entries are
   /// covering (the value is the encoded row), so no base-table fetch is
   /// needed. When `box`/`temporal` are given this is the curve-intersection
@@ -195,16 +190,6 @@ class StTable {
 
   /// Full scan over the primary (first) index.
   Result<exec::DataFrame> FullScan() const;
-
-  /// Equality lookup through a secondary attribute index (Figure 1's
-  /// Attribute Indexing). `column` must be listed in the table's
-  /// attr_indexes; rows whose column equals `value` are returned.
-  Result<exec::DataFrame> AttributeQuery(const std::string& column,
-                                         const exec::Value& value,
-                                         QueryStats* stats = nullptr) const;
-
-  /// True when `column` carries an attribute index.
-  bool HasAttributeIndex(const std::string& column) const;
 
   /// Chooses the index used for a query: `temporal` requests a
   /// spatio-temporal strategy. Falls back across categories when the ideal
@@ -281,12 +266,6 @@ class StTable {
   Result<exec::DataFrame> SpatialRangeQueryInternal(
       const geo::Mbr& box, QueryStats* stats,
       const std::unordered_set<std::string>* skip_fids) const;
-
-  /// Slot id of the attribute index over attr_indexes[i]: SFC indexes come
-  /// first, attribute indexes after.
-  size_t AttrSlot(size_t attr_pos) const {
-    return strategies_.size() + attr_pos;
-  }
 
   /// Per-shard key ranges covering secondary index `def` restricted to
   /// [lower, upper] in the order-preserving attribute encoding.

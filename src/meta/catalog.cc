@@ -73,11 +73,6 @@ JsonValue TableToJson(const TableMeta& table) {
     idxs.push_back(JsonValue::Object(std::move(x)));
   }
   obj["indexes"] = JsonValue::Array(std::move(idxs));
-  std::vector<JsonValue> attrs;
-  for (const std::string& col : table.attr_indexes) {
-    attrs.push_back(JsonValue::String(col));
-  }
-  obj["attrs"] = JsonValue::Array(std::move(attrs));
   std::vector<JsonValue> sec;
   for (const SecondaryIndexDef& def : table.secondary_indexes) {
     std::map<std::string, JsonValue> s;
@@ -126,8 +121,14 @@ Result<TableMeta> TableFromJson(const JsonValue& json) {
     if (idx.period_len_ms <= 0) idx.period_len_ms = kMillisPerDay;
     table.indexes.push_back(idx);
   }
-  for (const JsonValue& a : json.Get("attrs").array_items()) {
-    if (a.is_string()) table.attr_indexes.push_back(a.string_value());
+  // Refuse an entry listing an equality-only attribute index ("attrs"):
+  // dropping the list silently would let a new index's slot alias the
+  // stale entries it left in the key space.
+  if (!json.Get("attrs").array_items().empty()) {
+    return Status::NotSupported(
+        "table " + table.user + "." + table.name +
+        " declares a legacy attribute index (\"attrs\"); recreate the table "
+        "and declare its attribute indexes with CREATE INDEX");
   }
   // Absent in catalogs written before secondary indexes existed.
   for (const JsonValue& s : json.Get("sec_indexes").array_items()) {

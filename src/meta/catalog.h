@@ -61,10 +61,8 @@ struct TableMeta {
   std::string fid_column;
   std::string geom_column;
   std::string time_column;
-  /// Columns carrying a secondary attribute index (Figure 1's "Attribute
-  /// Indexing"): equality predicates on them avoid full scans.
-  std::vector<std::string> attr_indexes;
-  /// CREATE INDEX secondary indexes (point/range capable, online build).
+  /// CREATE INDEX secondary indexes (Figure 1's "Attribute Indexing"):
+  /// point/range capable, built online.
   std::vector<SecondaryIndexDef> secondary_indexes;
   /// Next free secondary-index slot: monotonic over the table's lifetime so
   /// a dropped index's slot (and any orphaned entries a crashed drop left

@@ -10,9 +10,8 @@
 namespace just::sql {
 
 /// The physical access path chosen for one table scan. Shared by the
-/// row-at-a-time and columnar executors (which used to duplicate the
-/// predicate extraction) and by EXPLAIN's plan annotation, so the path the
-/// plan prints is the path the executor runs.
+/// executor and by EXPLAIN's plan annotation, so the path the plan prints is
+/// the path the executor runs.
 struct AccessPath {
   enum class Kind {
     kKnn,               ///< geom IN st_KNN(...) expansion
@@ -21,7 +20,6 @@ struct AccessPath {
     kTemporalRange,     ///< curve index, whole-earth + time window
     kSecondaryIndex,    ///< secondary index point/range lookup drives alone
     kIndexIntersection, ///< secondary index drives, spatio-temporal refines
-    kAttrIndex,         ///< legacy USERDATA attr-index equality lookup
     kFullScan,
   };
 
@@ -35,11 +33,6 @@ struct AccessPath {
   TimestampMs t_min = 0, t_max = 0;
   geo::Point knn_query{};
   int knn_k = 0;
-  /// Legacy attr-index equality; when combined with a curve path the
-  /// executor rechecks it over the scan output.
-  bool have_attr = false;
-  std::string attr_column;
-  exec::Value attr_value;
   /// kSecondaryIndex / kIndexIntersection: the indexed column + bounds.
   std::string index_column;
   core::AttrBound lower, upper;
@@ -57,8 +50,8 @@ void SplitConjuncts(const Expr* expr, std::vector<const Expr*>* out);
 /// predicate competes, otherwise decided by a cardinality probe against
 /// `index_intersection_threshold` (few index entries: the index drives and
 /// spatio-temporal refinement filters; many: the curve index drives and the
-/// attribute bounds demote to residual work) — then the curve paths, the
-/// legacy attr index, and finally a full scan.
+/// attribute bounds demote to residual work) — then the curve paths, and
+/// finally a full scan.
 Result<AccessPath> ChooseAccessPath(core::JustEngine* engine,
                                     const std::string& user,
                                     const meta::TableMeta& table_meta,

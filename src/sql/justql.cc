@@ -1,5 +1,6 @@
 #include "sql/justql.h"
 
+#include <algorithm>
 #include <cctype>
 #include <chrono>
 
@@ -40,9 +41,27 @@ Result<int64_t> ParsePeriodName(const std::string& name) {
   return Status::InvalidArgument("unknown time period: " + name);
 }
 
+// Splits a USERDATA list value ("a,b" or "a b") into its non-empty items.
+std::vector<std::string> SplitUserdataList(const std::string& list) {
+  std::vector<std::string> items(1);
+  for (char c : list) {
+    if (c == ',' || c == ' ') {
+      if (!items.back().empty()) items.emplace_back();
+    } else {
+      items.back() += c;
+    }
+  }
+  if (items.back().empty()) items.pop_back();
+  return items;
+}
+
 // Applies the USERDATA hint: {'geomesa.indices.enabled':'z3,xz2t'} selects
 // indexes, {'just.period':'day|week|month|year|century'} the Eq. (1) bin.
-Status ApplyUserdata(const std::string& json, meta::TableMeta* table) {
+// {'just.attr.indexes':'a,b'} is sugar for CREATE INDEX attr_<col> on each
+// listed column: the columns land in `attr_columns` for the caller to index
+// once the table exists.
+Status ApplyUserdata(const std::string& json, meta::TableMeta* table,
+                     std::vector<std::string>* attr_columns) {
   if (json.empty()) return Status::OK();
   JUST_ASSIGN_OR_RETURN(auto doc, ParseJson(json));
   int64_t period = kMillisPerDay;
@@ -50,38 +69,23 @@ Status ApplyUserdata(const std::string& json, meta::TableMeta* table) {
   if (!period_name.empty()) {
     JUST_ASSIGN_OR_RETURN(period, ParsePeriodName(period_name));
   }
-  std::string attrs = doc.GetString("just.attr.indexes");
-  if (!attrs.empty()) {
-    std::string current;
-    for (char c : attrs) {
-      if (c == ',' || c == ' ') {
-        if (!current.empty()) table->attr_indexes.push_back(current);
-        current.clear();
-      } else {
-        current += c;
-      }
+  for (std::string& column :
+       SplitUserdataList(doc.GetString("just.attr.indexes"))) {
+    if (table->ColumnIndex(column) < 0) {
+      return Status::InvalidArgument("no such column to index: " + column);
     }
-    if (!current.empty()) table->attr_indexes.push_back(current);
+    if (std::find(attr_columns->begin(), attr_columns->end(), column) ==
+        attr_columns->end()) {
+      attr_columns->push_back(std::move(column));
+    }
   }
   std::string enabled = doc.GetString("geomesa.indices.enabled");
   if (!enabled.empty()) {
     table->indexes.clear();
-    std::string current;
-    auto flush = [&]() -> Status {
-      if (current.empty()) return Status::OK();
-      JUST_ASSIGN_OR_RETURN(auto type, curve::ParseIndexType(current));
+    for (const std::string& name : SplitUserdataList(enabled)) {
+      JUST_ASSIGN_OR_RETURN(auto type, curve::ParseIndexType(name));
       table->indexes.push_back({type, period});
-      current.clear();
-      return Status::OK();
-    };
-    for (char c : enabled) {
-      if (c == ',' || c == ' ') {
-        JUST_RETURN_NOT_OK(flush());
-      } else {
-        current += c;
-      }
     }
-    JUST_RETURN_NOT_OK(flush());
   } else if (!period_name.empty()) {
     for (auto& index : table->indexes) index.period_len_ms = period;
   }
@@ -208,6 +212,16 @@ Result<QueryResult> JustQL::ExecuteParsed(const std::string& user,
     }
     case Statement::Kind::kCreateTable: {
       const CreateTableStmt& create = *stmt.create_table;
+      // USERDATA attribute indexes, built once the (empty) table exists: the
+      // online build finishes at once and the index ends `ready`.
+      std::vector<std::string> attr_columns;
+      auto create_userdata_indexes = [&]() -> Status {
+        for (const std::string& column : attr_columns) {
+          JUST_RETURN_NOT_OK(engine_->CreateIndex(user, create.name,
+                                                  "attr_" + column, column));
+        }
+        return Status::OK();
+      };
       if (!create.plugin.empty()) {
         if (!core::IsKnownPlugin(create.plugin)) {
           return Status::InvalidArgument("unknown plugin table type: " +
@@ -216,8 +230,10 @@ Result<QueryResult> JustQL::ExecuteParsed(const std::string& user,
         JUST_ASSIGN_OR_RETURN(
             auto table, core::MakePluginTable(create.plugin, user,
                                               create.name));
-        JUST_RETURN_NOT_OK(ApplyUserdata(create.userdata_json, &table));
+        JUST_RETURN_NOT_OK(
+            ApplyUserdata(create.userdata_json, &table, &attr_columns));
         JUST_RETURN_NOT_OK(engine_->catalog()->CreateTable(&table));
+        JUST_RETURN_NOT_OK(create_userdata_indexes());
         result.message = "plugin table created: " + create.name;
         return result;
       }
@@ -258,8 +274,10 @@ Result<QueryResult> JustQL::ExecuteParsed(const std::string& user,
             prepared.time_column = col.name;
           }
         }
-        JUST_RETURN_NOT_OK(ApplyUserdata(create.userdata_json, &prepared));
+        JUST_RETURN_NOT_OK(
+            ApplyUserdata(create.userdata_json, &prepared, &attr_columns));
         JUST_RETURN_NOT_OK(engine_->CreateTable(std::move(prepared)));
+        JUST_RETURN_NOT_OK(create_userdata_indexes());
       }
       result.message = "table created: " + create.name;
       return result;

@@ -1,23 +1,28 @@
-// Differential tests of the columnar execution path against the interpreted
-// row-at-a-time oracle. Two layers:
+// Differential tests of the columnar execution path against row-at-a-time
+// references. Two layers:
 //
 //  1. PredicateProgram vs BoundExpr::EvalBool on hand-built and randomized
 //     frames (NULLs, mixed int/double columns, strings, constant folding,
 //     interpreted fallback shapes) — the program must keep exactly the rows
 //     the tree-walking evaluator keeps.
-//  2. Full SQL statements executed twice through the engine, once with
-//     ExecOptions{force_interpreted} and once on the default vectorized
-//     path — the frames must match row for row.
+//  2. Full SQL statements run through the executor and through a test-local
+//     reference that walks the same optimized plan with the DataFrame
+//     operators over full scans — the results must match, whatever access
+//     path the executor chose.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "common/time_util.h"
 #include "core/engine.h"
 #include "exec/column_batch.h"
+#include "exec/operators.h"
+#include "sql/access_path.h"
 #include "sql/analyzer.h"
 #include "sql/executor.h"
 #include "sql/expr_eval.h"
@@ -224,19 +229,34 @@ TEST(PredicateProgramCacheTest, HitsMissesEvictions) {
   EXPECT_EQ(cache.misses(), 4u);
 }
 
-// --- End-to-end: vectorized executor vs forced-interpreted executor ---
+// --- End-to-end: executor vs a full-scan row-at-a-time reference ---
+
+/// The FilterRows convention: NULL and evaluation errors drop the row.
+bool Holds(const Expr& pred, const exec::Schema& schema, const exec::Row& row) {
+  auto v = EvaluateExpr(pred, schema, row);
+  return v.ok() && v->type() == exec::DataType::kBool && v->bool_value();
+}
+
+/// A row's cells rendered in order: the multiset comparison key.
+std::string RowKey(const exec::Row& row) {
+  std::string key;
+  for (const exec::Value& v : row) key += v.ToString() + "\x1f";
+  return key;
+}
+
+bool HasOrderBy(const PlanNode& plan) {
+  if (plan.kind == PlanNode::Kind::kSort) return true;
+  for (const auto& child : plan.children) {
+    if (HasOrderBy(*child)) return true;
+  }
+  return false;
+}
 
 class ExecutorParityTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = std::make_unique<TempDir>("batch_parity");
-    core::EngineOptions options;
-    options.data_dir = dir_->path();
-    options.num_servers = 2;
-    options.num_shards = 4;
-    auto engine = core::JustEngine::Open(options);
-    ASSERT_TRUE(engine.ok());
-    engine_ = std::move(engine).value();
+    OpenEngine(core::EngineOptions{}.index_intersection_threshold);
 
     JustQL ql(engine_.get());
     auto created = ql.Execute(
@@ -260,43 +280,167 @@ class ExecutorParityTest : public ::testing::Test {
     ASSERT_TRUE(engine_->Finalize().ok());
   }
 
-  /// Runs `sql` on both executors and requires identical frames.
-  void ExpectSameResult(const std::string& sql) {
-    auto run = [&](bool interpreted) -> Result<exec::DataFrame> {
-      auto stmt = ParseStatement(sql);
-      if (!stmt.ok()) return stmt.status();
-      Analyzer analyzer(engine_.get(), "tester");
-      JUST_ASSIGN_OR_RETURN(auto plan, analyzer.Analyze(*stmt->select));
-      JUST_ASSIGN_OR_RETURN(plan, Optimize(std::move(plan)));
-      Executor executor(engine_.get(), "tester",
-                        ExecOptions{.force_interpreted = interpreted});
-      return executor.Execute(*plan);
-    };
-    auto interpreted = run(true);
-    auto vectorized = run(false);
-    ASSERT_TRUE(interpreted.ok()) << sql << " -> "
-                                  << interpreted.status().ToString();
-    ASSERT_TRUE(vectorized.ok()) << sql << " -> "
-                                 << vectorized.status().ToString();
-    ASSERT_EQ(interpreted->num_rows(), vectorized->num_rows()) << sql;
-    ASSERT_EQ(interpreted->schema().ToString(),
-              vectorized->schema().ToString())
-        << sql;
-    for (size_t r = 0; r < interpreted->num_rows(); ++r) {
-      const exec::Row& a = interpreted->rows()[r];
-      const exec::Row& e = vectorized->rows()[r];
-      ASSERT_EQ(a.size(), e.size());
-      for (size_t c = 0; c < a.size(); ++c) {
-        EXPECT_TRUE(a[c].Equals(e[c]))
-            << sql << " row " << r << " col " << c << ": "
-            << a[c].ToString() << " vs " << e[c].ToString();
+  void OpenEngine(size_t intersection_threshold) {
+    engine_.reset();
+    core::EngineOptions options;
+    options.data_dir = dir_->path();
+    options.num_servers = 2;
+    options.num_shards = 4;
+    options.index_intersection_threshold = intersection_threshold;
+    auto engine = core::JustEngine::Open(options);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    engine_ = std::move(engine).value();
+  }
+
+  /// Row-at-a-time reference: walks the optimized plan with the DataFrame
+  /// operators and EvaluateExpr over a full scan of every table. It never
+  /// calls ChooseAccessPath, so each indexed path the executor picks is
+  /// checked against the full-scan answer.
+  Result<exec::DataFrame> Reference(const PlanNode& plan) {
+    switch (plan.kind) {
+      case PlanNode::Kind::kScanTable:
+        return ReferenceScan(plan, nullptr);
+      case PlanNode::Kind::kFilter: {
+        const PlanNode& child = *plan.children[0];
+        if (child.kind == PlanNode::Kind::kScanTable) {
+          return ReferenceScan(child, plan.predicate.get());
+        }
+        JUST_ASSIGN_OR_RETURN(auto input, Reference(child));
+        return exec::Filter(input, [&](const exec::Row& row) {
+          return Holds(*plan.predicate, input.schema(), row);
+        });
       }
+      case PlanNode::Kind::kProject: {
+        JUST_ASSIGN_OR_RETURN(auto input, Reference(*plan.children[0]));
+        exec::DataFrame out(plan.schema);
+        for (const exec::Row& row : input.rows()) {
+          exec::Row projected;
+          for (const auto& item : plan.items) {
+            JUST_ASSIGN_OR_RETURN(auto v,
+                                  EvaluateExpr(*item.expr, input.schema(), row));
+            projected.push_back(std::move(v));
+          }
+          out.AddRow(std::move(projected));
+        }
+        return out;
+      }
+      case PlanNode::Kind::kAggregate: {
+        JUST_ASSIGN_OR_RETURN(auto input, Reference(*plan.children[0]));
+        return exec::GroupBy(input, plan.group_by, plan.aggregates);
+      }
+      case PlanNode::Kind::kSort: {
+        JUST_ASSIGN_OR_RETURN(auto input, Reference(*plan.children[0]));
+        std::vector<exec::SortKey> keys;
+        for (const auto& item : plan.order_by) {
+          keys.push_back({item.column, item.ascending});
+        }
+        return exec::Sort(input, keys);
+      }
+      case PlanNode::Kind::kLimit: {
+        JUST_ASSIGN_OR_RETURN(auto input, Reference(*plan.children[0]));
+        return exec::Limit(input, static_cast<size_t>(plan.limit));
+      }
+      case PlanNode::Kind::kJoin: {
+        JUST_ASSIGN_OR_RETURN(auto left, Reference(*plan.children[0]));
+        JUST_ASSIGN_OR_RETURN(auto right, Reference(*plan.children[1]));
+        return exec::HashJoin(left, right, plan.join_left_col,
+                              plan.join_right_col);
+      }
+      default:
+        return Status::NotSupported("reference: unsupported plan node");
     }
+  }
+
+  /// Full scan, filter, then the scan's column pushdown. A
+  /// `geom IN st_KNN(p, k)` conjunct keeps the k rows nearest to p.
+  Result<exec::DataFrame> ReferenceScan(const PlanNode& scan,
+                                        const Expr* predicate) {
+    JUST_ASSIGN_OR_RETURN(auto frame, engine_->FullScan("tester", scan.name));
+    std::vector<const Expr*> conjuncts;
+    if (predicate != nullptr) SplitConjuncts(predicate, &conjuncts);
+    for (const Expr* c : conjuncts) {
+      if (c->kind == Expr::Kind::kBinary && c->op == BinaryOp::kIn) {
+        JUST_ASSIGN_OR_RETURN(frame, NearestRows(frame, *c));
+        continue;
+      }
+      frame = exec::Filter(frame, [&](const exec::Row& row) {
+        return Holds(*c, frame.schema(), row);
+      });
+    }
+    if (scan.required_columns.empty()) return frame;
+    return exec::Project(frame, scan.required_columns);
+  }
+
+  Result<exec::DataFrame> NearestRows(const exec::DataFrame& frame,
+                                      const Expr& knn) {
+    const Expr& call = *knn.args[1];
+    JUST_ASSIGN_OR_RETURN(auto point, EvaluateConstant(*call.args[0]));
+    JUST_ASSIGN_OR_RETURN(auto k, EvaluateConstant(*call.args[1]));
+    const geo::Point q = point.geometry_value().Bounds().Center();
+    int geom = frame.schema().IndexOf(knn.args[0]->column);
+    std::vector<std::pair<double, size_t>> by_distance;
+    for (size_t r = 0; r < frame.num_rows(); ++r) {
+      by_distance.emplace_back(
+          frame.rows()[r][static_cast<size_t>(geom)].geometry_value().Distance(
+              q),
+          r);
+    }
+    std::sort(by_distance.begin(), by_distance.end());
+    by_distance.resize(std::min<size_t>(by_distance.size(),
+                                        static_cast<size_t>(k.int_value())));
+    exec::DataFrame out(frame.schema_ptr());
+    for (const auto& [d, r] : by_distance) out.AddRow(frame.rows()[r]);
+    return out;
+  }
+
+  /// Runs `sql` through the executor and the reference and requires the
+  /// same rows: as multisets, or in order under ORDER BY.
+  void ExpectSameResult(const std::string& sql) {
+    auto stmt = ParseStatement(sql);
+    ASSERT_TRUE(stmt.ok()) << sql << " -> " << stmt.status().ToString();
+    Analyzer analyzer(engine_.get(), "tester");
+    auto plan = analyzer.Analyze(*stmt->select);
+    ASSERT_TRUE(plan.ok()) << sql << " -> " << plan.status().ToString();
+    auto optimized = Optimize(std::move(*plan));
+    ASSERT_TRUE(optimized.ok()) << sql;
+    Executor executor(engine_.get(), "tester");
+    auto actual = executor.Execute(**optimized);
+    auto expected = Reference(**optimized);
+    ASSERT_TRUE(actual.ok()) << sql << " -> " << actual.status().ToString();
+    ASSERT_TRUE(expected.ok()) << sql << " -> "
+                               << expected.status().ToString();
+    ASSERT_EQ(expected->schema().ToString(), actual->schema().ToString())
+        << sql;
+    std::vector<std::string> want, got;
+    for (const exec::Row& row : expected->rows()) want.push_back(RowKey(row));
+    for (const exec::Row& row : actual->rows()) got.push_back(RowKey(row));
+    if (!HasOrderBy(**optimized)) {
+      std::sort(want.begin(), want.end());
+      std::sort(got.begin(), got.end());
+    }
+    EXPECT_EQ(want, got) << sql;
+  }
+
+  /// ExpectSameResult, after asserting the access path EXPLAIN reports.
+  void ExpectPathMatchesFullScan(const std::string& sql,
+                                 const std::string& label) {
+    JustQL ql(engine_.get());
+    auto plan = ql.ExplainSelect("tester", sql);
+    ASSERT_TRUE(plan.ok()) << sql << " -> " << plan.status().ToString();
+    EXPECT_NE(plan->find("access: " + label + "]"), std::string::npos)
+        << sql << "\n" << *plan;
+    ExpectSameResult(sql);
+  }
+
+  static std::string Millis(const char* date) {
+    return std::to_string(ParseTimestamp(date).value());
   }
 
   std::unique_ptr<TempDir> dir_;
   std::unique_ptr<core::JustEngine> engine_;
 };
+
+constexpr const char* kBox = "st_makeMBR(116.30, 39.80, 116.45, 39.95)";
 
 TEST_F(ExecutorParityTest, ScansFiltersProjectionsAggregates) {
   ExpectSameResult("SELECT * FROM orders");
@@ -322,6 +466,47 @@ TEST_F(ExecutorParityTest, RowOnlyOperatorsStillWork) {
   ExpectSameResult("SELECT fid FROM orders ORDER BY time LIMIT 10");
   ExpectSameResult(
       "SELECT city, count(*) AS n FROM orders GROUP BY city ORDER BY city");
+}
+
+TEST_F(ExecutorParityTest, EveryAccessPathMatchesFullScan) {
+  const std::string window = " time BETWEEN " + Millis("2018-10-10") +
+                             " AND " + Millis("2018-10-20");
+  ExpectPathMatchesFullScan(
+      std::string("SELECT fid, city FROM orders WHERE geom WITHIN ") + kBox,
+      "spatial_range");
+  ExpectPathMatchesFullScan(std::string("SELECT fid FROM orders WHERE geom "
+                                        "WITHIN ") +
+                                kBox + " AND" + window,
+                            "st_range");
+  ExpectPathMatchesFullScan("SELECT fid, time FROM orders WHERE" + window,
+                            "temporal_range");
+  ExpectPathMatchesFullScan(
+      "SELECT fid FROM orders WHERE geom IN "
+      "st_KNN(st_makePoint(116.40, 39.90), 25)",
+      "knn");
+  ExpectPathMatchesFullScan(
+      "SELECT fid FROM orders WHERE city >= 'city1' AND city < 'city3'",
+      "secondary_index");
+  // 150 city1 entries is under the default intersection threshold: the
+  // index drives and the box refines.
+  ExpectPathMatchesFullScan(
+      std::string("SELECT fid, city FROM orders WHERE city = 'city1' AND "
+                  "geom WITHIN ") +
+          kBox,
+      "index_intersection");
+  ExpectPathMatchesFullScan("SELECT fid FROM orders WHERE fid = 'order_0007'",
+                            "full_scan");
+}
+
+TEST_F(ExecutorParityTest, DemotedIntersectionMatchesFullScan) {
+  // Threshold 0: every probe is over it, so the curve index drives and the
+  // attribute bound runs as residual refinement.
+  OpenEngine(0);
+  ExpectPathMatchesFullScan(
+      std::string("SELECT fid, city FROM orders WHERE city = 'city1' AND "
+                  "geom WITHIN ") +
+          kBox,
+      "spatial_range");
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
+
 #include "meta/catalog.h"
 #include "test_util.h"
 
@@ -90,6 +93,38 @@ TEST(CatalogTest, PersistsAcrossReopen) {
   TableMeta t2 = SampleTable("alice", "more");
   ASSERT_TRUE((*catalog)->CreateTable(&t2).ok());
   EXPECT_GT(t2.table_id, id);
+}
+
+TEST(CatalogTest, LegacyAttributeIndexEntryFailsToOpen) {
+  // A catalog entry listing the removed equality-only attribute index must
+  // not load: dropping the list silently would let a new index's slot alias
+  // its stale entries.
+  TempDir dir("catalog_attrs");
+  std::string path = dir.path() + "/meta.jsonl";
+  {
+    auto catalog = Catalog::Open(path);
+    ASSERT_TRUE(catalog.ok());
+    TableMeta t = SampleTable("alice", "orders");
+    ASSERT_TRUE((*catalog)->CreateTable(&t).ok());
+  }
+  std::string content;
+  {
+    std::ifstream in(path);
+    content.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_EQ(content.rfind("{\"", 0), 0u) << content;
+  content.insert(1, "\"attrs\":[\"city\"],");
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << content;
+  }
+  auto catalog = Catalog::Open(path);
+  ASSERT_FALSE(catalog.ok());
+  EXPECT_NE(catalog.status().ToString().find("alice.orders"),
+            std::string::npos)
+      << catalog.status().ToString();
+  EXPECT_NE(catalog.status().ToString().find("CREATE INDEX"),
+            std::string::npos);
 }
 
 TEST(CatalogTest, DropMissingTableFails) {

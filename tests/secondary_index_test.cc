@@ -2,12 +2,13 @@
 // covering point/range lookups, curve-intersection access-path selection,
 // write-path index maintenance (tombstones ride the same group-commit
 // batch), the online non-blocking build protocol, crash/fault recovery,
-// and the two rider bugfixes (LIMIT scan budgets, plan-cache invalidation
-// across DDL).
+// the two rider bugfixes (LIMIT scan budgets, plan-cache invalidation
+// across DDL), and the USERDATA attribute indexes that desugar into it.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -418,8 +419,7 @@ TEST_F(SecondaryIndexTest, LeftoverBuildingIndexIsDroppedOnOpen) {
   def.name = "idx_zombie";
   def.column = "courier";
   def.slot = std::max<uint32_t>(
-      static_cast<uint32_t>(described->indexes.size() +
-                            described->attr_indexes.size()),
+      static_cast<uint32_t>(described->indexes.size()),
       described->next_index_slot);
   def.state = meta::IndexState::kBuilding;
   ASSERT_TRUE(engine_->catalog()->AddIndex("u", "orders", def).ok());
@@ -678,6 +678,280 @@ TEST(SecondaryIndexFaultTest, OnlineBuildIsAtomicUnderDiskFaults) {
     EXPECT_EQ(frame->num_rows(), 40u);
     EXPECT_EQ(stats.rows_scanned, 40u);
   }
+}
+
+// --- USERDATA attribute indexes ------------------------------------------
+//
+// USERDATA {'just.attr.indexes':'a,b'} is sugar for CREATE INDEX attr_<col>
+// on each listed column, so Figure 1's attribute-index box is served by the
+// same covering secondary index as the tests above.
+
+class AttrIndexTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = std::make_unique<TempDir>("attr");
+    OpenEngine();
+    sql::JustQL ql(engine_.get());
+    auto created = ql.Execute(
+        "u",
+        "CREATE TABLE orders (fid string:primary key, city string, "
+        "amount integer, time date, geom point) "
+        "USERDATA {'just.attr.indexes':'city,amount'}");
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+
+    TimestampMs base = ParseTimestamp("2018-10-01").value();
+    Rng rng(5);
+    const char* cities[] = {"beijing", "shanghai", "chengdu"};
+    for (int i = 0; i < 300; ++i) {
+      exec::Row row = {
+          exec::Value::String("o" + std::to_string(i)),
+          exec::Value::String(cities[i % 3]),
+          exec::Value::Int(i % 10),
+          exec::Value::Timestamp(base + i * kMillisPerMinute),
+          exec::Value::GeometryVal(geo::Geometry::MakePoint(
+              {116.0 + rng.NextDouble() * 0.5, 39.5 + rng.NextDouble() * 0.5})),
+      };
+      ASSERT_TRUE(engine_->Insert("u", "orders", row).ok());
+    }
+    ASSERT_TRUE(engine_->Finalize().ok());
+  }
+
+  void OpenEngine() {
+    EngineOptions options;
+    options.data_dir = dir_->path();
+    options.num_servers = 2;
+    options.num_shards = 4;
+    auto engine = JustEngine::Open(options);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    engine_ = std::move(engine).value();
+  }
+
+  /// The access path EXPLAIN reports for `sql`.
+  std::string PathLabel(const std::string& sql) {
+    sql::JustQL ql(engine_.get());
+    auto plan = ql.ExplainSelect("u", sql);
+    if (!plan.ok()) return plan.status().ToString();
+    size_t at = plan->find("access: ");
+    if (at == std::string::npos) return "";
+    at += 8;
+    return plan->substr(at, plan->find(']', at) - at);
+  }
+
+  /// Fids of the full-scan rows satisfying `keep`.
+  std::multiset<std::string> FullScanFids(
+      const std::function<bool(const exec::Row&)>& keep) {
+    std::multiset<std::string> fids;
+    auto frame = engine_->FullScan("u", "orders");
+    EXPECT_TRUE(frame.ok());
+    if (!frame.ok()) return fids;
+    for (const auto& row : frame->rows()) {
+      if (keep(row)) fids.insert(row[0].string_value());
+    }
+    return fids;
+  }
+
+  std::unique_ptr<TempDir> dir_;
+  std::unique_ptr<JustEngine> engine_;
+};
+
+TEST_F(AttrIndexTest, StringEqualityLookup) {
+  const std::string q = "SELECT * FROM orders WHERE city = 'shanghai'";
+  EXPECT_EQ(PathLabel(q), "secondary_index");
+  QueryStats stats;
+  auto result = RunSelect(engine_.get(), q, &stats);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->num_rows(), 100u);
+  for (const auto& row : result->rows()) {
+    EXPECT_EQ(row[1].string_value(), "shanghai");
+  }
+  // The index reads only matching rows, not the whole table.
+  EXPECT_EQ(stats.rows_scanned, 100u);
+  EXPECT_EQ(stats.rows_scanned, stats.rows_matched);
+}
+
+TEST_F(AttrIndexTest, IntEqualityLookup) {
+  const std::string q = "SELECT fid FROM orders WHERE amount = 7";
+  EXPECT_EQ(PathLabel(q), "secondary_index");
+  QueryStats stats;
+  auto result = RunSelect(engine_.get(), q, &stats);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->num_rows(), 30u);
+  EXPECT_EQ(stats.rows_scanned, 30u);
+  EXPECT_EQ(stats.rows_scanned, stats.rows_matched);
+}
+
+TEST_F(AttrIndexTest, IntColumnMatchesDoubleLiteral) {
+  // Int and double share one ordered key domain: 5.0 finds the rows of 5.
+  auto as_double =
+      RunSelect(engine_.get(), "SELECT fid FROM orders WHERE amount = 5.0");
+  auto as_int =
+      RunSelect(engine_.get(), "SELECT fid FROM orders WHERE amount = 5");
+  ASSERT_TRUE(as_double.ok()) << as_double.status().ToString();
+  ASSERT_TRUE(as_int.ok()) << as_int.status().ToString();
+  auto scanned = FullScanFids(
+      [](const exec::Row& row) { return row[2].int_value() == 5; });
+  EXPECT_EQ(scanned.size(), 30u);
+  EXPECT_EQ(FidSet(*as_double), scanned);
+  EXPECT_EQ(FidSet(*as_int), scanned);
+}
+
+TEST_F(AttrIndexTest, MissingValueReturnsEmpty) {
+  const std::string q = "SELECT fid FROM orders WHERE city = 'atlantis'";
+  EXPECT_EQ(PathLabel(q), "secondary_index");
+  QueryStats stats;
+  auto result = RunSelect(engine_.get(), q, &stats);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->num_rows(), 0u);
+  EXPECT_EQ(stats.rows_scanned, 0u);
+}
+
+TEST_F(AttrIndexTest, SqlEqualityUsesIndexNotFullScan) {
+  const std::string q = "SELECT fid, city FROM orders WHERE city = 'beijing'";
+  EXPECT_EQ(PathLabel(q), "secondary_index");
+  QueryStats stats;
+  auto frame = RunSelect(engine_.get(), q, &stats);
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  EXPECT_EQ(frame->num_rows(), 100u);
+  // rows_scanned == matches proves the index path was taken (a full scan
+  // reads all 300 rows).
+  EXPECT_EQ(stats.rows_scanned, 100u);
+  EXPECT_EQ(stats.rows_scanned, stats.rows_matched);
+}
+
+TEST_F(AttrIndexTest, SqlCombinesAttrWithResidualPredicates) {
+  const std::string q =
+      "SELECT fid FROM orders WHERE city = 'chengdu' AND amount > 7";
+  // One indexed column drives; the other conjunct runs as a residual.
+  EXPECT_EQ(PathLabel(q), "secondary_index");
+  QueryStats stats;
+  auto result = RunSelect(engine_.get(), q, &stats);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  // city == chengdu: i % 3 == 2; amount > 7: i % 10 in {8, 9}.
+  std::multiset<std::string> expected;
+  for (int i = 0; i < 300; ++i) {
+    if (i % 3 == 2 && i % 10 > 7) expected.insert("o" + std::to_string(i));
+  }
+  EXPECT_EQ(FidSet(*result), expected);
+  EXPECT_EQ(stats.rows_scanned, 100u);  // the chengdu entries only
+  EXPECT_EQ(stats.rows_scanned, stats.rows_matched);
+}
+
+TEST_F(AttrIndexTest, BoxPlusAttributeMatchesFullScan) {
+  // 100 beijing entries is under the intersection threshold: the index
+  // drives and the box refines the covering values.
+  const std::string q =
+      "SELECT fid, city, geom FROM orders WHERE geom WITHIN "
+      "st_makeMBR(116.0, 39.5, 116.25, 40.0) AND city = 'beijing'";
+  EXPECT_EQ(PathLabel(q), "index_intersection");
+  QueryStats stats;
+  auto result = RunSelect(engine_.get(), q, &stats);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  geo::Mbr box = geo::Mbr::Of(116.0, 39.5, 116.25, 40.0);
+  auto expected = FullScanFids([&](const exec::Row& row) {
+    return row[1].string_value() == "beijing" &&
+           row[4].geometry_value().Within(box);
+  });
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(FidSet(*result), expected);
+  EXPECT_EQ(stats.rows_scanned, 100u);
+  EXPECT_EQ(stats.rows_matched, expected.size());
+}
+
+TEST_F(AttrIndexTest, UpdatedRowVisibleUnderNewAttrValue) {
+  // Insert o5 again with a new city: the index must serve the new value.
+  const std::string moved_q = "SELECT fid FROM orders WHERE city = 'moved'";
+  auto original = RunSelect(engine_.get(), moved_q);
+  ASSERT_TRUE(original.ok());
+  EXPECT_EQ(original->num_rows(), 0u);
+  TimestampMs base = ParseTimestamp("2018-10-01").value();
+  exec::Row updated = {
+      exec::Value::String("o5"), exec::Value::String("moved"),
+      exec::Value::Int(5), exec::Value::Timestamp(base + 5 * kMillisPerMinute),
+      exec::Value::GeometryVal(geo::Geometry::MakePoint({116.2, 39.7}))};
+  ASSERT_TRUE(engine_->Insert("u", "orders", updated).ok());
+  EXPECT_EQ(PathLabel(moved_q), "secondary_index");
+  QueryStats stats;
+  auto moved = RunSelect(engine_.get(), moved_q, &stats);
+  ASSERT_TRUE(moved.ok());
+  ASSERT_EQ(moved->num_rows(), 1u);
+  EXPECT_EQ(moved->rows()[0][0].string_value(), "o5");
+  EXPECT_EQ(stats.rows_scanned, 1u);
+  // A blind Insert leaves o5's old cell in place (Replace retires it); the
+  // index answer for the old value still equals the full-scan answer.
+  auto old = RunSelect(engine_.get(),
+                       "SELECT fid FROM orders WHERE city = 'chengdu'");
+  ASSERT_TRUE(old.ok());
+  EXPECT_EQ(FidSet(*old), FullScanFids([](const exec::Row& row) {
+              return row[1].string_value() == "chengdu";
+            }));
+}
+
+TEST_F(AttrIndexTest, CreatedViaUserdataSql) {
+  sql::JustQL ql(engine_.get());
+  auto created = ql.Execute(
+      "u",
+      "CREATE TABLE tagged (fid string:primary key, tag string, time date, "
+      "geom point) USERDATA {'just.attr.indexes':'tag'}");
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  auto meta = engine_->DescribeTable("u", "tagged");
+  ASSERT_TRUE(meta.ok());
+  const meta::SecondaryIndexDef* def = meta->FindSecondaryIndex("attr_tag");
+  ASSERT_NE(def, nullptr);
+  EXPECT_EQ(def->column, "tag");
+  EXPECT_EQ(def->state, meta::IndexState::kReady);
+  ASSERT_TRUE(ql.Execute("u",
+                         "INSERT INTO tagged VALUES "
+                         "('a', 'hot', '2018-10-01 00:00:00', "
+                         "st_makePoint(116.4, 39.9)), "
+                         "('b', 'cold', '2018-10-01 00:00:00', "
+                         "st_makePoint(116.5, 39.8))")
+                  .ok());
+  auto plan = ql.ExplainSelect("u", "SELECT fid FROM tagged WHERE tag = 'hot'");
+  ASSERT_TRUE(plan.ok());
+  EXPECT_NE(plan->find("access: secondary_index"), std::string::npos) << *plan;
+  auto hot = ql.Execute("u", "SELECT fid FROM tagged WHERE tag = 'hot'");
+  ASSERT_TRUE(hot.ok());
+  ASSERT_EQ(hot->frame.num_rows(), 1u);
+  EXPECT_EQ(hot->frame.rows()[0][0].string_value(), "a");
+
+  // Plugin tables take the same sugar; a repeated column is indexed once.
+  ASSERT_TRUE(ql.Execute("u",
+                         "CREATE TABLE couriers AS trajectory "
+                         "USERDATA {'just.attr.indexes':'oid, oid'}")
+                  .ok());
+  meta = engine_->DescribeTable("u", "couriers");
+  ASSERT_TRUE(meta.ok());
+  ASSERT_EQ(meta->secondary_indexes.size(), 1u);
+  EXPECT_EQ(meta->secondary_indexes[0].name, "attr_oid");
+  EXPECT_EQ(meta->secondary_indexes[0].state, meta::IndexState::kReady);
+
+  // A USERDATA column the table does not have is rejected up front.
+  EXPECT_FALSE(ql.Execute("u",
+                          "CREATE TABLE bad (fid string:primary key, "
+                          "time date, geom point) "
+                          "USERDATA {'just.attr.indexes':'nope'}")
+                   .ok());
+  EXPECT_FALSE(engine_->DescribeTable("u", "bad").ok());
+}
+
+TEST_F(AttrIndexTest, AttrIndexSurvivesCatalogReload) {
+  engine_.reset();
+  OpenEngine();
+  auto meta = engine_->catalog()->GetTable("u", "orders");
+  ASSERT_TRUE(meta.ok());
+  ASSERT_EQ(meta->secondary_indexes.size(), 2u);
+  for (const char* name : {"attr_city", "attr_amount"}) {
+    const meta::SecondaryIndexDef* def = meta->FindSecondaryIndex(name);
+    ASSERT_NE(def, nullptr) << name;
+    EXPECT_EQ(def->state, meta::IndexState::kReady);
+  }
+  const std::string q = "SELECT fid FROM orders WHERE city = 'beijing'";
+  EXPECT_EQ(PathLabel(q), "secondary_index");
+  QueryStats stats;
+  auto frame = RunSelect(engine_.get(), q, &stats);
+  ASSERT_TRUE(frame.ok());
+  EXPECT_EQ(frame->num_rows(), 100u);
+  EXPECT_EQ(stats.rows_scanned, 100u);
 }
 
 }  // namespace
