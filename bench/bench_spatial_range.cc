@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
+#include "obs/metrics.h"
 
 namespace just::bench {
 namespace {
@@ -20,7 +21,10 @@ void RunJustQueries(benchmark::State& state, Dataset dataset, Variant variant,
   Fixture* fx = GetFixture(dataset, pct, variant);
   size_t qi = 0;
   size_t results = 0;
-  uint64_t io_before = kv::GlobalIoStats().bytes_read;
+  auto bytes_read = [] {
+    return obs::Registry::Global().CounterValue("just_kv_bytes_read_total");
+  };
+  uint64_t io_before = bytes_read();
   for (auto _ : state) {
     geo::Mbr box = geo::SquareWindowKm(
         fx->centers.centers[qi++ % fx->centers.centers.size()], window_km);
@@ -37,7 +41,7 @@ void RunJustQueries(benchmark::State& state, Dataset dataset, Variant variant,
   // The Fig 11b/11d mechanism: compression cuts bytes read from the store.
   // (Wall-clock benefits require a cold cache; see EXPERIMENTS.md.)
   state.counters["io_KB_per_query"] =
-      static_cast<double>(kv::GlobalIoStats().bytes_read - io_before) /
+      static_cast<double>(bytes_read() - io_before) /
       1024.0 / iters;
 }
 

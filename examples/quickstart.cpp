@@ -10,6 +10,7 @@
 #include <memory>
 
 #include "core/engine.h"
+#include "core/result_set.h"
 #include "sql/justql.h"
 #include "workload/generators.h"
 

@@ -23,6 +23,13 @@ bool SingleShardByte(std::string_view start, std::string_view end) {
   if (s == e) return true;
   return end.size() == 1 && e == s + 1;
 }
+
+/// KV rows the cluster handed to a scan consumer, by Scan and ParallelScan.
+obs::Counter* RowsFetchedCounter() {
+  static obs::Counter* counter = obs::Registry::Global().GetCounter(
+      "just_cluster_scan_rows_fetched_total");
+  return counter;
+}
 }  // namespace
 
 Result<std::unique_ptr<RegionCluster>> RegionCluster::Open(
@@ -163,6 +170,7 @@ Result<std::vector<RegionCluster::RangeResult>> RegionCluster::ParallelScan(
   std::mutex error_mu;
   static obs::Histogram* scan_hist =
       obs::Registry::Global().GetHistogram("just_cluster_parallel_scan_us");
+  obs::Counter* rows_fetched = RowsFetchedCounter();
   obs::ScopedSpan span("cluster.ParallelScan");
   if (span.span() != nullptr) {
     span.span()->AddAttr("ranges", std::to_string(ranges.size()));
@@ -207,6 +215,7 @@ Result<std::vector<RegionCluster::RangeResult>> RegionCluster::ParallelScan(
         if (first_error.ok()) first_error = st;
         return;
       }
+      rows_fetched->Add(rows.size());
       for (auto& row : rows) results[i].rows.push_back(std::move(row));
     }
   });
@@ -230,8 +239,7 @@ Status RegionCluster::Scan(
   // first byte and servers see disjoint byte prefixes... only when
   // num_servers >= 256; in general this yields per-shard ordered output,
   // which all internal callers accept).
-  static obs::Counter* rows_fetched = obs::Registry::Global().GetCounter(
-      "just_cluster_scan_rows_fetched_total");
+  obs::Counter* rows_fetched = RowsFetchedCounter();
   const size_t batch_rows = std::max<size_t>(1, options_.scan_batch_rows);
   for (const auto& server : servers_) {
     // Stream the server's range in bounded batches instead of buffering it

@@ -240,19 +240,23 @@ Status JustEngine::BuildIndex(const std::string& user, const std::string& table,
   // Backfill from a scan of the base rows (slot 0). Concurrent writers are
   // untouched: they dual-write the index directly and mirror those ops into
   // the journal, whose FIFO replay below wins over any backfill put raced.
-  JUST_ASSIGN_OR_RETURN(auto frame, bound->FullScan());
+  JUST_ASSIGN_OR_RETURN(auto batches, bound->FullScanBatch());
   size_t chunk_rows = std::max<size_t>(1, options_.index_build_batch_rows);
   std::vector<kv::WriteOp> chunk;
   chunk.reserve(chunk_rows);
-  for (const exec::Row& row : frame.rows()) {
-    JUST_ASSIGN_OR_RETURN(auto op,
-                          bound->MakeSecondaryEntryOp(def, row, false));
-    chunk.push_back(std::move(op));
-    if (chunk.size() >= chunk_rows) {
-      size_t n = chunk.size();
-      JUST_RETURN_NOT_OK(cluster_->WriteBatch(std::move(chunk)));
-      build_rows->Add(n);
-      chunk.clear();
+  for (const exec::ColumnBatch& batch : batches) {
+    // A plain full scan refines nothing: every physical row is live.
+    for (size_t row = 0; row < batch.num_rows(); ++row) {
+      JUST_ASSIGN_OR_RETURN(
+          auto op,
+          bound->MakeSecondaryEntryOp(def, batch.MaterializeRow(row), false));
+      chunk.push_back(std::move(op));
+      if (chunk.size() >= chunk_rows) {
+        size_t n = chunk.size();
+        JUST_RETURN_NOT_OK(cluster_->WriteBatch(std::move(chunk)));
+        build_rows->Add(n);
+        chunk.clear();
+      }
     }
   }
   if (!chunk.empty()) {
@@ -380,98 +384,96 @@ Status JustEngine::Replace(const std::string& user, const std::string& table,
   return bound->Replace(old_row, new_row);
 }
 
-Status JustEngine::AdmitScan(const std::string& user) const {
-  return quota_->AdmitScan(user);
+Result<exec::BatchVector> JustEngine::AdmittedScan(
+    const std::string& user, const std::string& table, QueryStats* stats,
+    const ScanFn& scan) {
+  JUST_RETURN_NOT_OK(quota_->AdmitScan(user));
+  JUST_ASSIGN_OR_RETURN(auto bound, GetTable(user, table));
+  QueryStats local;
+  if (stats == nullptr) stats = &local;
+  // Charge before the error check: bytes read by a scan that then failed
+  // were still read.
+  const size_t bytes_before = stats->bytes_scanned;
+  auto result = scan(*bound, stats);
+  if (stats->bytes_scanned > bytes_before) {
+    quota_->ChargeScanBytes(user, stats->bytes_scanned - bytes_before);
+  }
+  return result;
 }
 
-void JustEngine::ChargeScan(const std::string& user,
-                            const QueryStats* stats) const {
-  if (stats != nullptr && stats->bytes_scanned > 0) {
-    quota_->ChargeScanBytes(user, stats->bytes_scanned);
-  }
+Result<exec::DataFrame> JustEngine::ToDataFrame(
+    const std::string& user, const std::string& table,
+    Result<exec::BatchVector> batches) {
+  JUST_RETURN_NOT_OK(batches.status());
+  JUST_ASSIGN_OR_RETURN(auto bound, GetTable(user, table));
+  return exec::BatchesToDataFrame(bound->meta().MakeSchema(), *batches);
 }
 
 Result<exec::DataFrame> JustEngine::SpatialRangeQuery(const std::string& user,
                                                       const std::string& table,
                                                       const geo::Mbr& box,
                                                       QueryStats* stats) {
-  JUST_RETURN_NOT_OK(AdmitScan(user));
-  JUST_ASSIGN_OR_RETURN(auto bound, GetTable(user, table));
-  QueryStats local;
-  if (stats == nullptr) stats = &local;
-  auto result = bound->SpatialRangeQuery(box, stats);
-  ChargeScan(user, stats);
-  return result;
+  return ToDataFrame(user, table,
+                     SpatialRangeQueryBatch(user, table, box, stats));
 }
 
 Result<exec::DataFrame> JustEngine::StRangeQuery(
     const std::string& user, const std::string& table, const geo::Mbr& box,
     TimestampMs t_min, TimestampMs t_max, QueryStats* stats) {
-  JUST_RETURN_NOT_OK(AdmitScan(user));
-  JUST_ASSIGN_OR_RETURN(auto bound, GetTable(user, table));
-  QueryStats local;
-  if (stats == nullptr) stats = &local;
-  auto result = bound->StRangeQuery(box, t_min, t_max, stats);
-  ChargeScan(user, stats);
-  return result;
+  return ToDataFrame(
+      user, table, StRangeQueryBatch(user, table, box, t_min, t_max, stats));
 }
 
 Result<exec::DataFrame> JustEngine::KnnQuery(const std::string& user,
                                              const std::string& table,
                                              const geo::Point& q, int k,
                                              QueryStats* stats) {
-  JUST_RETURN_NOT_OK(AdmitScan(user));
-  JUST_ASSIGN_OR_RETURN(auto bound, GetTable(user, table));
-  QueryStats local;
-  if (stats == nullptr) stats = &local;
-  auto result = bound->KnnQuery(q, k, stats);
-  ChargeScan(user, stats);
-  return result;
+  return ToDataFrame(user, table, KnnQueryBatch(user, table, q, k, stats));
 }
 
 Result<exec::DataFrame> JustEngine::FullScan(const std::string& user,
-                                             const std::string& table) {
-  JUST_RETURN_NOT_OK(AdmitScan(user));
-  JUST_ASSIGN_OR_RETURN(auto bound, GetTable(user, table));
-  return bound->FullScan();
+                                             const std::string& table,
+                                             QueryStats* stats) {
+  return ToDataFrame(user, table, FullScanBatch(user, table, stats));
 }
 
 Result<exec::BatchVector> JustEngine::SpatialRangeQueryBatch(
     const std::string& user, const std::string& table, const geo::Mbr& box,
     QueryStats* stats, const ScanBudget* budget) {
-  JUST_RETURN_NOT_OK(AdmitScan(user));
-  JUST_ASSIGN_OR_RETURN(auto bound, GetTable(user, table));
-  QueryStats local;
-  if (stats == nullptr) stats = &local;
-  auto result = bound->SpatialRangeQueryBatch(box, stats, budget);
-  ChargeScan(user, stats);
-  return result;
+  return AdmittedScan(user, table, stats,
+                      [&](const StTable& bound, QueryStats* s) {
+                        return bound.SpatialRangeQueryBatch(box, s, budget);
+                      });
 }
 
 Result<exec::BatchVector> JustEngine::StRangeQueryBatch(
     const std::string& user, const std::string& table, const geo::Mbr& box,
     TimestampMs t_min, TimestampMs t_max, QueryStats* stats,
     const ScanBudget* budget) {
-  JUST_RETURN_NOT_OK(AdmitScan(user));
-  JUST_ASSIGN_OR_RETURN(auto bound, GetTable(user, table));
-  QueryStats local;
-  if (stats == nullptr) stats = &local;
-  auto result = bound->StRangeQueryBatch(box, t_min, t_max, stats, budget);
-  ChargeScan(user, stats);
-  return result;
+  return AdmittedScan(
+      user, table, stats, [&](const StTable& bound, QueryStats* s) {
+        return bound.StRangeQueryBatch(box, t_min, t_max, s, budget);
+      });
+}
+
+Result<exec::BatchVector> JustEngine::KnnQueryBatch(const std::string& user,
+                                                    const std::string& table,
+                                                    const geo::Point& q,
+                                                    int k, QueryStats* stats) {
+  return AdmittedScan(user, table, stats,
+                      [&](const StTable& bound, QueryStats* s) {
+                        return bound.KnnQueryBatch(q, k, s);
+                      });
 }
 
 Result<exec::BatchVector> JustEngine::FullScanBatch(const std::string& user,
                                                     const std::string& table,
                                                     QueryStats* stats,
                                                     const ScanBudget* budget) {
-  JUST_RETURN_NOT_OK(AdmitScan(user));
-  JUST_ASSIGN_OR_RETURN(auto bound, GetTable(user, table));
-  QueryStats local;
-  if (stats == nullptr) stats = &local;
-  auto result = bound->FullScanBatch(stats, budget);
-  ChargeScan(user, stats);
-  return result;
+  return AdmittedScan(user, table, stats,
+                      [&](const StTable& bound, QueryStats* s) {
+                        return bound.FullScanBatch(s, budget);
+                      });
 }
 
 Result<exec::BatchVector> JustEngine::SecondaryIndexQueryBatch(
@@ -479,20 +481,19 @@ Result<exec::BatchVector> JustEngine::SecondaryIndexQueryBatch(
     const std::string& column, const AttrBound& lower, const AttrBound& upper,
     const geo::Mbr* box, bool temporal, TimestampMs t_min, TimestampMs t_max,
     QueryStats* stats, const ScanBudget* budget) {
-  JUST_RETURN_NOT_OK(AdmitScan(user));
-  JUST_ASSIGN_OR_RETURN(auto bound, GetTable(user, table));
-  const meta::SecondaryIndexDef* def =
-      bound->meta().ReadySecondaryIndexOn(column);
-  if (def == nullptr) {
-    return Status::NotFound("no ready secondary index on column: " + column);
-  }
-  QueryStats local;
-  if (stats == nullptr) stats = &local;
-  auto result = bound->SecondaryIndexQueryBatch(*def, lower, upper, box,
-                                                temporal, t_min, t_max, stats,
-                                                budget);
-  ChargeScan(user, stats);
-  return result;
+  return AdmittedScan(
+      user, table, stats,
+      [&](const StTable& bound, QueryStats* s) -> Result<exec::BatchVector> {
+        const meta::SecondaryIndexDef* def =
+            bound.meta().ReadySecondaryIndexOn(column);
+        if (def == nullptr) {
+          return Status::NotFound("no ready secondary index on column: " +
+                                  column);
+        }
+        return bound.SecondaryIndexQueryBatch(*def, lower, upper, box,
+                                              temporal, t_min, t_max, s,
+                                              budget);
+      });
 }
 
 Status JustEngine::SetTenantQuota(const std::string& tenant,
@@ -515,11 +516,6 @@ Result<size_t> JustEngine::SecondaryIndexProbe(
     return Status::NotFound("no ready secondary index on column: " + column);
   }
   return bound->SecondaryIndexProbe(*def, lower, upper, limit);
-}
-
-Result<std::unique_ptr<ResultSet>> JustEngine::MakeResultSet(
-    exec::DataFrame frame) {
-  return ResultSet::Make(std::move(frame), options_.result_options);
 }
 
 Status JustEngine::CreateView(const std::string& user, const std::string& name,

@@ -1,6 +1,7 @@
 #ifndef JUST_CORE_ENGINE_H_
 #define JUST_CORE_ENGINE_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -10,7 +11,6 @@
 
 #include "cluster/region_cluster.h"
 #include "common/status.h"
-#include "core/result_set.h"
 #include "core/table.h"
 #include "exec/dataframe.h"
 #include "meta/catalog.h"
@@ -33,7 +33,6 @@ struct EngineOptions {
   /// trace over the wire.
   std::vector<std::string> server_addrs;
   curve::IndexOptions index;          ///< SFC resolutions, range budgets
-  ResultSet::Options result_options;  ///< direct-vs-spill thresholds
   /// Statements at least this slow are captured in the engine's slow-query
   /// log (and counted as just_sql_slow_queries_total). Negative disables.
   int64_t slow_query_threshold_us = 500000;
@@ -113,6 +112,10 @@ class JustEngine {
                  const exec::Row& old_row, const exec::Row& new_row);
 
   // --- Query operations (Section V-C) ---
+  // Every query method reaches storage through AdmittedScan, which admits
+  // it against the tenant's scan-byte budget and charges the bytes it read.
+  // The DataFrame methods are their *Batch twins plus one batch-to-row
+  // conversion at this edge.
 
   Result<exec::DataFrame> SpatialRangeQuery(const std::string& user,
                                             const std::string& table,
@@ -128,7 +131,8 @@ class JustEngine {
                                    const geo::Point& q, int k,
                                    QueryStats* stats = nullptr);
   Result<exec::DataFrame> FullScan(const std::string& user,
-                                   const std::string& table);
+                                   const std::string& table,
+                                   QueryStats* stats = nullptr);
 
   // --- Columnar query variants (see StTable's *Batch methods) ---
 
@@ -139,6 +143,11 @@ class JustEngine {
       const std::string& user, const std::string& table, const geo::Mbr& box,
       TimestampMs t_min, TimestampMs t_max, QueryStats* stats = nullptr,
       const ScanBudget* budget = nullptr);
+  /// k-NN: at most k rows, nearest first, in one batch.
+  Result<exec::BatchVector> KnnQueryBatch(const std::string& user,
+                                          const std::string& table,
+                                          const geo::Point& q, int k,
+                                          QueryStats* stats = nullptr);
   Result<exec::BatchVector> FullScanBatch(const std::string& user,
                                           const std::string& table,
                                           QueryStats* stats = nullptr,
@@ -159,9 +168,6 @@ class JustEngine {
                                      const std::string& column,
                                      const AttrBound& lower,
                                      const AttrBound& upper, size_t limit);
-
-  /// Wraps a query result for cursor-style delivery.
-  Result<std::unique_ptr<ResultSet>> MakeResultSet(exec::DataFrame frame);
 
   // --- View tables (Section IV-D) ---
 
@@ -233,12 +239,20 @@ class JustEngine {
   void InvalidateTableAndDrainWriters(const std::string& user,
                                       const std::string& table);
 
-  /// Charges `stats.bytes_scanned` (or the scan-shed decision) to the
-  /// tenant's scan-byte budget around a query body. Post-paid: the admission
-  /// check only refuses tenants already in debt, the actual bytes are
-  /// debited afterwards (a scan's size is unknowable up front).
-  Status AdmitScan(const std::string& user) const;
-  void ChargeScan(const std::string& user, const QueryStats* stats) const;
+  /// The one way a query reaches storage: admits the scan against the
+  /// tenant's scan-byte budget, binds `table`, runs `scan` with non-null
+  /// stats, and debits the bytes it read. Post-paid: admission only refuses
+  /// tenants already in debt (a scan's size is unknowable up front).
+  using ScanFn =
+      std::function<Result<exec::BatchVector>(const StTable&, QueryStats*)>;
+  Result<exec::BatchVector> AdmittedScan(const std::string& user,
+                                         const std::string& table,
+                                         QueryStats* stats,
+                                         const ScanFn& scan);
+  /// The DataFrame edge: the one batch-to-row conversion of a query result.
+  Result<exec::DataFrame> ToDataFrame(const std::string& user,
+                                      const std::string& table,
+                                      Result<exec::BatchVector> batches);
 
   EngineOptions options_;
   std::unique_ptr<meta::Catalog> catalog_;

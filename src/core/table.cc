@@ -273,8 +273,7 @@ Result<exec::BatchVector> StTable::ScanRangesToBatches(
     const std::vector<curve::KeyRange>& ranges,
     const std::function<void(exec::ColumnBatch*)>& refine, QueryStats* stats,
     const ScanBudget* budget, bool dedupe_keys, int fid_offset,
-    const std::unordered_set<std::string>* skip_fids,
-    bool record_counters) const {
+    const std::unordered_set<std::string>* skip_fids) const {
   auto schema = meta_.MakeSchema();
   BatchRowDecoder decoder(meta_);
   exec::BatchVector batches;
@@ -354,7 +353,7 @@ Result<exec::BatchVector> StTable::ScanRangesToBatches(
     stats->rows_matched += matched;
     stats->bytes_scanned += bytes;
   }
-  if (record_counters) RecordQueryCounters(ranges_run, scanned, matched);
+  RecordQueryCounters(ranges_run, scanned, matched);
   return batches;
 }
 
@@ -437,8 +436,7 @@ Result<exec::BatchVector> StTable::SecondaryIndexQueryBatch(
   };
   return ScanRangesToBatches(ranges, refine, stats, budget,
                              /*dedupe_keys=*/false, /*fid_offset=*/0,
-                             /*skip_fids=*/nullptr,
-                             /*record_counters=*/true);
+                             /*skip_fids=*/nullptr);
 }
 
 Result<size_t> StTable::SecondaryIndexProbe(const meta::SecondaryIndexDef& def,
@@ -602,23 +600,7 @@ Result<exec::BatchVector> StTable::RunRangesBatch(
     RefineBatch(b, box, temporal, t_min, t_max);
   };
   return ScanRangesToBatches(ranges, refine, stats, budget,
-                             /*dedupe_keys=*/true, fid_offset, skip_fids,
-                             /*record_counters=*/true);
-}
-
-Result<exec::DataFrame> StTable::RunRanges(
-    const std::vector<curve::KeyRange>& ranges, const geo::Mbr& box,
-    bool temporal, TimestampMs t_min, TimestampMs t_max, QueryStats* stats,
-    int fid_offset, const std::unordered_set<std::string>* skip_fids) const {
-  JUST_ASSIGN_OR_RETURN(
-      auto batches, RunRangesBatch(ranges, box, temporal, t_min, t_max,
-                                   stats, fid_offset, skip_fids));
-  return exec::BatchesToDataFrame(meta_.MakeSchema(), batches);
-}
-
-Result<exec::DataFrame> StTable::SpatialRangeQuery(const geo::Mbr& box,
-                                                   QueryStats* stats) const {
-  return SpatialRangeQueryInternal(box, stats, nullptr);
+                             /*dedupe_keys=*/true, fid_offset, skip_fids);
 }
 
 Result<exec::BatchVector> StTable::SpatialRangeQueryBatch(
@@ -644,14 +626,6 @@ Result<exec::BatchVector> StTable::SpatialRangeQueryInternalBatch(
                         fid_offset, skip_fids, budget);
 }
 
-Result<exec::DataFrame> StTable::SpatialRangeQueryInternal(
-    const geo::Mbr& box, QueryStats* stats,
-    const std::unordered_set<std::string>* skip_fids) const {
-  JUST_ASSIGN_OR_RETURN(
-      auto batches, SpatialRangeQueryInternalBatch(box, stats, skip_fids));
-  return exec::BatchesToDataFrame(meta_.MakeSchema(), batches);
-}
-
 Result<exec::BatchVector> StTable::StRangeQueryBatch(
     const geo::Mbr& box, TimestampMs t_min, TimestampMs t_max,
     QueryStats* stats, const ScanBudget* budget) const {
@@ -666,17 +640,8 @@ Result<exec::BatchVector> StTable::StRangeQueryBatch(
                         strategy->FidOffset() + 5, nullptr, budget);
 }
 
-Result<exec::DataFrame> StTable::StRangeQuery(const geo::Mbr& box,
-                                              TimestampMs t_min,
-                                              TimestampMs t_max,
-                                              QueryStats* stats) const {
-  JUST_ASSIGN_OR_RETURN(auto batches,
-                        StRangeQueryBatch(box, t_min, t_max, stats));
-  return exec::BatchesToDataFrame(meta_.MakeSchema(), batches);
-}
-
-Result<exec::DataFrame> StTable::KnnQuery(const geo::Point& q, int k,
-                                          QueryStats* stats) const {
+Result<exec::BatchVector> StTable::KnnQueryBatch(const geo::Point& q, int k,
+                                                 QueryStats* stats) const {
   // Algorithm 1. cq: max-heap of (distance, row) keeping the k nearest;
   // aq: min-heap of areas ordered by dA(q, a) (Eq. 4).
   struct Candidate {
@@ -684,16 +649,70 @@ Result<exec::DataFrame> StTable::KnnQuery(const geo::Point& q, int k,
     exec::Row row;
     bool operator<(const Candidate& o) const { return dist < o.dist; }
   };
-  std::priority_queue<Candidate> cq;  // top = farthest kept
+  std::vector<Candidate> cq;  // max-heap: front = farthest kept
   struct Area {
     double dist;
     geo::Mbr box;
     bool operator<(const Area& o) const { return dist > o.dist; }  // min-heap
   };
   std::priority_queue<Area> aq;
-  aq.push(Area{0.0, geo::Mbr::World()});
+  if (k > 0) aq.push(Area{0.0, geo::Mbr::World()});
   double dmax = 0;
   std::unordered_set<std::string> seen_fids;
+
+  // Offers every active row of `batches` to cq. Fid and geometry are read
+  // from the columns; a row is materialized only when it enters cq. A fid
+  // already offered (by an earlier area) is skipped.
+  auto offer = [&](const exec::BatchVector& batches) {
+    using Storage = exec::ColumnVector::Storage;
+    for (const exec::ColumnBatch& batch : batches) {
+      const exec::ColumnVector* fcol =
+          fid_col_ >= 0 ? &batch.column(static_cast<size_t>(fid_col_))
+                        : nullptr;
+      const exec::ColumnVector* gcol =
+          geom_col_ >= 0 ? &batch.column(static_cast<size_t>(geom_col_))
+                         : nullptr;
+      // A non-object geometry column holds no geometry: distance 0.
+      if (gcol != nullptr && gcol->storage() != Storage::kObject) {
+        gcol = nullptr;
+      }
+      auto offer_row = [&](uint32_t row) {
+        if (fcol != nullptr) {
+          std::string fid =
+              fcol->storage() == Storage::kString && !fcol->IsNull(row)
+                  ? fcol->StringAt(row)
+                  : fcol->ValueAt(row).ToString();
+          if (!fid.empty() && !seen_fids.insert(std::move(fid)).second) {
+            return;
+          }
+        }
+        double dist = 0;
+        if (gcol != nullptr) {
+          const exec::Value& g = gcol->ObjectAt(row);
+          if (g.type() == exec::DataType::kGeometry) {
+            dist = g.geometry_value().Distance(q);
+          } else if (g.type() == exec::DataType::kTrajectory &&
+                     g.trajectory_value() != nullptr) {
+            dist = g.trajectory_value()->Bounds().MinDistance(q);
+          }
+        }
+        if (static_cast<int>(cq.size()) == k) {
+          if (dist >= cq.front().dist) return;
+          std::pop_heap(cq.begin(), cq.end());
+          cq.pop_back();
+        }
+        cq.push_back(Candidate{dist, batch.MaterializeRow(row)});
+        std::push_heap(cq.begin(), cq.end());
+        dmax = cq.front().dist;
+      };
+      if (batch.has_selection()) {
+        for (uint32_t row : batch.selection()) offer_row(row);
+      } else {
+        for (uint32_t row = 0; row < batch.num_rows(); ++row) offer_row(row);
+      }
+    }
+  };
+
   // Degenerate-input guard: when k approaches the table size the expansion
   // cannot prune and would enumerate the whole quadtree; fall back to a
   // sequential scan after a bounded number of area queries.
@@ -707,28 +726,8 @@ Result<exec::DataFrame> StTable::KnnQuery(const geo::Point& q, int k,
       break;  // Lemma 1: area pruning
     }
     if (area_queries >= kMaxAreaQueries) {
-      JUST_ASSIGN_OR_RETURN(auto all, FullScan());
-      for (const exec::Row& row : all.rows()) {
-        std::string fid =
-            fid_col_ >= 0 ? row[fid_col_].ToString() : std::string();
-        if (!fid.empty() && seen_fids.count(fid) != 0) continue;
-        double dist = 0;
-        if (geom_col_ >= 0) {
-          const exec::Value& g = row[geom_col_];
-          if (g.type() == exec::DataType::kGeometry) {
-            dist = g.geometry_value().Distance(q);
-          } else if (g.type() == exec::DataType::kTrajectory &&
-                     g.trajectory_value() != nullptr) {
-            dist = g.trajectory_value()->Bounds().MinDistance(q);
-          }
-        }
-        if (static_cast<int>(cq.size()) < k) {
-          cq.push(Candidate{dist, row});
-        } else if (dist < cq.top().dist) {
-          cq.pop();
-          cq.push(Candidate{dist, row});
-        }
-      }
+      JUST_ASSIGN_OR_RETURN(auto all, FullScanBatch(stats));
+      offer(all);
       break;
     }
     if (a.box.Width() > kMinKnnAreaDeg || a.box.Height() > kMinKnnAreaDeg) {
@@ -747,40 +746,17 @@ Result<exec::DataFrame> StTable::KnnQuery(const geo::Point& q, int k,
     }
     ++area_queries;
     JUST_ASSIGN_OR_RETURN(
-        auto partial, SpatialRangeQueryInternal(a.box, stats, &seen_fids));
-    for (const exec::Row& row : partial.rows()) {
-      std::string fid =
-          fid_col_ >= 0 ? row[fid_col_].ToString() : std::string();
-      if (!fid.empty() && !seen_fids.insert(fid).second) continue;
-      double dist = 0;
-      if (geom_col_ >= 0) {
-        const exec::Value& g = row[geom_col_];
-        if (g.type() == exec::DataType::kGeometry) {
-          dist = g.geometry_value().Distance(q);
-        } else if (g.type() == exec::DataType::kTrajectory &&
-                   g.trajectory_value() != nullptr) {
-          dist = g.trajectory_value()->Bounds().MinDistance(q);
-        }
-      }
-      if (static_cast<int>(cq.size()) < k) {
-        cq.push(Candidate{dist, row});
-        dmax = cq.top().dist;
-      } else if (dist < cq.top().dist) {
-        cq.pop();
-        cq.push(Candidate{dist, row});
-        dmax = cq.top().dist;
-      }
-    }
+        auto partial,
+        SpatialRangeQueryInternalBatch(a.box, stats, &seen_fids));
+    offer(partial);
   }
 
-  std::vector<exec::Row> rows;
-  rows.reserve(cq.size());
-  while (!cq.empty()) {
-    rows.push_back(cq.top().row);
-    cq.pop();
-  }
-  std::reverse(rows.begin(), rows.end());  // nearest first
-  return exec::DataFrame(meta_.MakeSchema(), std::move(rows));
+  std::sort_heap(cq.begin(), cq.end());  // nearest first
+  exec::ColumnBatch out(meta_.MakeSchema());
+  for (Candidate& c : cq) out.AppendRow(std::move(c.row));
+  exec::BatchVector result;
+  result.push_back(std::move(out));
+  return result;
 }
 
 Result<exec::BatchVector> StTable::FullScanBatch(
@@ -801,18 +777,9 @@ Result<exec::BatchVector> StTable::FullScanBatch(
     range.end += end_prefix;
     ranges.push_back(std::move(range));
   }
-  // Plain full scans stay counter-silent (they have no pruning story to
-  // account); budgeted ones record how little they scanned — that *is* the
-  // LIMIT-pushdown regression signal.
   return ScanRangesToBatches(ranges, /*refine=*/nullptr, stats, budget,
                              /*dedupe_keys=*/false, /*fid_offset=*/0,
-                             /*skip_fids=*/nullptr,
-                             /*record_counters=*/budget != nullptr);
-}
-
-Result<exec::DataFrame> StTable::FullScan() const {
-  JUST_ASSIGN_OR_RETURN(auto batches, FullScanBatch());
-  return exec::BatchesToDataFrame(meta_.MakeSchema(), batches);
+                             /*skip_fids=*/nullptr);
 }
 
 }  // namespace just::core

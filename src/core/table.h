@@ -88,6 +88,7 @@ class IndexBuildJournal {
 /// A bound data table: metadata plus its key spaces in the cluster. Each
 /// configured index gets its own key space (as each GeoMesa index is its own
 /// HBase table); every row is written once per index, keyed per Eq. (2)/(3).
+/// Queries return ColumnBatches only; the DataFrame edge is JustEngine's.
 class StTable {
  public:
   StTable(meta::TableMeta meta, cluster::RegionCluster* cluster,
@@ -122,28 +123,22 @@ class StTable {
   /// stale secondary-index entry under the old value atomically.
   Status Replace(const exec::Row& old_row, const exec::Row& new_row);
 
-  /// Spatial range query (Section V-C): records within `box`.
-  Result<exec::DataFrame> SpatialRangeQuery(const geo::Mbr& box,
-                                            QueryStats* stats = nullptr) const;
-
-  /// Spatio-temporal range query: records within `box` generated in
-  /// [t_min, t_max].
-  Result<exec::DataFrame> StRangeQuery(const geo::Mbr& box,
-                                       TimestampMs t_min, TimestampMs t_max,
-                                       QueryStats* stats = nullptr) const;
-
-  // --- Columnar variants (the vectorized executor's scan sources) ---
+  // --- Queries (Section V-C) ---
   // Scanned KV pairs decode straight into ColumnBatches (BatchRowDecoder);
   // exact spatio-temporal refinement runs as column loops that shrink each
-  // batch's selection vector instead of materializing Value rows. The
-  // DataFrame methods above are thin wrappers over these.
+  // batch's selection vector instead of materializing Value rows. Rows
+  // become a DataFrame only at the API edge (JustEngine, the SQL result).
 
+  /// Spatial range query: records within `box`.
   Result<exec::BatchVector> SpatialRangeQueryBatch(
       const geo::Mbr& box, QueryStats* stats = nullptr,
       const ScanBudget* budget = nullptr) const;
+  /// Spatio-temporal range query: records within `box` generated in
+  /// [t_min, t_max].
   Result<exec::BatchVector> StRangeQueryBatch(
       const geo::Mbr& box, TimestampMs t_min, TimestampMs t_max,
       QueryStats* stats = nullptr, const ScanBudget* budget = nullptr) const;
+  /// Full scan over the primary (first) index.
   Result<exec::BatchVector> FullScanBatch(
       QueryStats* stats = nullptr, const ScanBudget* budget = nullptr) const;
   /// Point/range lookup through a CREATE INDEX secondary index. Entries are
@@ -184,12 +179,10 @@ class StTable {
   }
 
   /// k-NN query per Algorithm 1 (iterative area expansion with Lemma 1
-  /// pruning), built on spatial range queries.
-  Result<exec::DataFrame> KnnQuery(const geo::Point& q, int k,
-                                   QueryStats* stats = nullptr) const;
-
-  /// Full scan over the primary (first) index.
-  Result<exec::DataFrame> FullScan() const;
+  /// pruning), built on spatial range queries: at most k rows, nearest
+  /// first, in one batch.
+  Result<exec::BatchVector> KnnQueryBatch(const geo::Point& q, int k,
+                                          QueryStats* stats = nullptr) const;
 
   /// Chooses the index used for a query: `temporal` requests a
   /// spatio-temporal strategy. Falls back across categories when the ideal
@@ -237,21 +230,14 @@ class StTable {
   /// The shared scan core: runs `ranges` (ParallelScan normally; sequential
   /// streaming RegionCluster::Scan with early-stop when `budget` is set),
   /// decodes KV pairs into batches, applies `refine` (selection shrink) and
-  /// then the budget's residual per batch, and accounts stats/counters.
+  /// then the budget's residual per batch, and accounts stats and the
+  /// just_query_* counters.
   Result<exec::BatchVector> ScanRangesToBatches(
       const std::vector<curve::KeyRange>& ranges,
       const std::function<void(exec::ColumnBatch*)>& refine,
       QueryStats* stats, const ScanBudget* budget, bool dedupe_keys,
-      int fid_offset, const std::unordered_set<std::string>* skip_fids,
-      bool record_counters) const;
-
-  /// Row-oriented wrapper over RunRangesBatch.
-  Result<exec::DataFrame> RunRanges(const std::vector<curve::KeyRange>& ranges,
-                                    const geo::Mbr& box, bool temporal,
-                                    TimestampMs t_min, TimestampMs t_max,
-                                    QueryStats* stats, int fid_offset,
-                                    const std::unordered_set<std::string>*
-                                        skip_fids) const;
+      int fid_offset,
+      const std::unordered_set<std::string>* skip_fids) const;
 
   /// Exact refinement as column loops: geometry containment / trajectory
   /// intersection plus the temporal check, shrinking `batch`'s selection.
@@ -263,9 +249,6 @@ class StTable {
       const geo::Mbr& box, QueryStats* stats,
       const std::unordered_set<std::string>* skip_fids,
       const ScanBudget* budget = nullptr) const;
-  Result<exec::DataFrame> SpatialRangeQueryInternal(
-      const geo::Mbr& box, QueryStats* stats,
-      const std::unordered_set<std::string>* skip_fids) const;
 
   /// Per-shard key ranges covering secondary index `def` restricted to
   /// [lower, upper] in the order-preserving attribute encoding.

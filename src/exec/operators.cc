@@ -239,40 +239,4 @@ Result<DataFrame> HashJoin(const DataFrame& left, const DataFrame& right,
   return out;
 }
 
-DataFrame MapRows(const DataFrame& input, std::shared_ptr<Schema> out_schema,
-                  const std::function<Row(const Row&)>& fn) {
-  DataFrame out(std::move(out_schema));
-  for (const Row& row : input.rows()) out.AddRow(fn(row));
-  return out;
-}
-
-DataFrame FlatMapRows(const DataFrame& input,
-                      std::shared_ptr<Schema> out_schema,
-                      const std::function<std::vector<Row>(const Row&)>& fn) {
-  DataFrame out(std::move(out_schema));
-  for (const Row& row : input.rows()) {
-    for (Row& produced : fn(row)) out.AddRow(std::move(produced));
-  }
-  return out;
-}
-
-DataFrame MapPartition(
-    const DataFrame& input, std::shared_ptr<Schema> out_schema,
-    const std::function<std::vector<Row>(const std::vector<Row>&)>& fn) {
-  DataFrame out(std::move(out_schema));
-  for (Row& produced : fn(input.rows())) out.AddRow(std::move(produced));
-  return out;
-}
-
-Result<DataFrame> Union(const DataFrame& a, const DataFrame& b) {
-  if (!(a.schema() == b.schema())) {
-    return Status::InvalidArgument("UNION schema mismatch: " +
-                                   a.schema().ToString() + " vs " +
-                                   b.schema().ToString());
-  }
-  DataFrame out(a.schema_ptr(), a.rows());
-  for (const Row& row : b.rows()) out.AddRow(row);
-  return out;
-}
-
 }  // namespace just::exec

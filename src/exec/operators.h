@@ -53,25 +53,6 @@ Result<DataFrame> HashJoin(const DataFrame& left, const DataFrame& right,
                            const std::string& left_col,
                            const std::string& right_col);
 
-/// Per-row transform (1-1 analysis operations, e.g. coordinate transforms).
-DataFrame MapRows(const DataFrame& input, std::shared_ptr<Schema> out_schema,
-                  const std::function<Row(const Row&)>& fn);
-
-/// Per-row expansion (1-N analysis operations, e.g. trajectory
-/// segmentation), implemented with our own executor since Spark SQL UDFs
-/// cannot return multiple rows (Section V-D).
-DataFrame FlatMapRows(const DataFrame& input,
-                      std::shared_ptr<Schema> out_schema,
-                      const std::function<std::vector<Row>(const Row&)>& fn);
-
-/// Whole-table transform (N-M analysis operations, e.g. st_DBSCAN).
-DataFrame MapPartition(
-    const DataFrame& input, std::shared_ptr<Schema> out_schema,
-    const std::function<std::vector<Row>(const std::vector<Row>&)>& fn);
-
-/// Concatenates frames with identical schemas.
-Result<DataFrame> Union(const DataFrame& a, const DataFrame& b);
-
 }  // namespace just::exec
 
 #endif  // JUST_EXEC_OPERATORS_H_

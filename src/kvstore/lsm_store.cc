@@ -27,8 +27,7 @@ constexpr size_t kMaxGroupCommitBytes = 1 << 20;
 // retained, so nothing acknowledged is lost.
 constexpr int kBgFlushAttempts = 3;
 
-// MANIFEST v2 header line. v1 manifests (PR-4 and earlier) have no header:
-// they start with "wal N" followed by bare file numbers.
+// MANIFEST header line; a MANIFEST without it is refused at open.
 constexpr std::string_view kManifestHeaderV2 = "just-manifest 2";
 
 std::string MakeInternalValue(char type, std::string_view value) {
@@ -428,10 +427,18 @@ Status LsmStore::ParseManifestLocked(const std::string& contents,
     if (!tokens.empty()) lines.push_back(std::move(tokens));
   }
 
-  bool v2 = !lines.empty() && lines[0].size() == 2 &&
-            lines[0][0] == "just-manifest";
-  if (v2 && lines[0][1] != "2") {
-    return Status::Corruption("unsupported MANIFEST version: " + lines[0][1]);
+  // Only the leveled format is read; a v1 MANIFEST (bare file numbers, no
+  // header) is refused rather than upgraded.
+  const std::string manifest_path = options_.dir + "/MANIFEST";
+  if (lines.empty() || lines[0].size() != 2 ||
+      lines[0][0] != "just-manifest") {
+    return Status::Corruption(manifest_path + ": missing '" +
+                              std::string(kManifestHeaderV2) +
+                              "' header (v1 MANIFESTs are not supported)");
+  }
+  if (lines[0][1] != "2") {
+    return Status::Corruption(manifest_path + ": unsupported MANIFEST version " +
+                              lines[0][1]);
   }
 
   auto open_table = [&](uint64_t num, size_t level)
@@ -450,46 +457,36 @@ Status LsmStore::ParseManifestLocked(const std::string& contents,
     return reader;
   };
 
-  for (size_t i = v2 ? 1 : 0; i < lines.size(); ++i) {
+  for (size_t i = 1; i < lines.size(); ++i) {
     const auto& line = lines[i];
     if (line[0] == "wal" && line.size() == 2) {
       min_wal_number_ = std::strtoull(line[1].c_str(), nullptr, 10);
       continue;
     }
-    if (v2) {
-      // "file <level> <number> <smallest-hex> <largest-hex>"
-      if (line[0] != "file" || line.size() != 5) {
-        return Status::Corruption("malformed MANIFEST line");
-      }
-      uint64_t level = std::strtoull(line[1].c_str(), nullptr, 10);
-      uint64_t num = std::strtoull(line[2].c_str(), nullptr, 10);
-      if (num == 0 || level > 1000) {
-        return Status::Corruption("malformed MANIFEST file entry");
-      }
-      std::string smallest;
-      std::string largest;
-      if (!HexDecodeKey(line[3], &smallest) ||
-          !HexDecodeKey(line[4], &largest)) {
-        return Status::Corruption("malformed MANIFEST key range");
-      }
-      JUST_ASSIGN_OR_RETURN(auto reader,
-                            open_table(num, static_cast<size_t>(level)));
-      // The recorded range is a consistency check on the table contents: a
-      // mismatch means the MANIFEST and the .sst diverged (e.g. a partially
-      // restored backup) and range pruning would silently skip data.
-      if (reader->smallest_key() != smallest ||
-          reader->largest_key() != largest) {
-        return Status::Corruption("MANIFEST key range mismatch for file " +
-                                  std::to_string(num));
-      }
-    } else {
-      // v1: bare file numbers in flush order — the flat table list of the
-      // full-compaction era. They all load into L0, whose read path (every
-      // table consulted, newest first) matches the old semantics; leveled
-      // compaction then migrates them down as it runs.
-      uint64_t num = std::strtoull(line[0].c_str(), nullptr, 10);
-      if (num == 0) continue;
-      JUST_RETURN_NOT_OK(open_table(num, 0).status());
+    // "file <level> <number> <smallest-hex> <largest-hex>"
+    if (line[0] != "file" || line.size() != 5) {
+      return Status::Corruption("malformed MANIFEST line");
+    }
+    uint64_t level = std::strtoull(line[1].c_str(), nullptr, 10);
+    uint64_t num = std::strtoull(line[2].c_str(), nullptr, 10);
+    if (num == 0 || level > 1000) {
+      return Status::Corruption("malformed MANIFEST file entry");
+    }
+    std::string smallest;
+    std::string largest;
+    if (!HexDecodeKey(line[3], &smallest) ||
+        !HexDecodeKey(line[4], &largest)) {
+      return Status::Corruption("malformed MANIFEST key range");
+    }
+    JUST_ASSIGN_OR_RETURN(auto reader,
+                          open_table(num, static_cast<size_t>(level)));
+    // The recorded range is a consistency check on the table contents: a
+    // mismatch means the MANIFEST and the .sst diverged (e.g. a partially
+    // restored backup) and range pruning would silently skip data.
+    if (reader->smallest_key() != smallest ||
+        reader->largest_key() != largest) {
+      return Status::Corruption("MANIFEST key range mismatch for file " +
+                                std::to_string(num));
     }
   }
 

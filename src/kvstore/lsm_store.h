@@ -224,10 +224,10 @@ class LsmStore {
   explicit LsmStore(const StoreOptions& options);
 
   Status Recover();
-  /// Loads the MANIFEST body into levels_/min_wal_number_. Handles both the
-  /// current v2 format ("just-manifest 2" header, per-file level + key
-  /// range) and the legacy headerless v1 list of file numbers, which all
-  /// load into L0 — exactly the set a v1 store's full-merge scans consulted.
+  /// Loads the MANIFEST body into levels_/min_wal_number_. Reads only the
+  /// v2 format ("just-manifest 2" header, per-file level + key range); a
+  /// body without that header (e.g. a headerless v1 list of file numbers)
+  /// is Corruption naming the file.
   Status ParseManifestLocked(const std::string& contents,
                              std::set<uint64_t>* live);
   /// Registers the per-level file/byte gauges. Called from Open() after

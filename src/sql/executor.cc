@@ -408,11 +408,10 @@ Result<Executor::BatchResult> Executor::ExecuteScanBatchImpl(
 
   switch (path.kind) {
     case AccessPath::Kind::kKnn: {
-      // k-NN keeps its row-oriented heap expansion; batches start afterwards.
       JUST_ASSIGN_OR_RETURN(
-          auto frame, engine_->KnnQuery(user_, scan.name, path.knn_query,
-                                        path.knn_k, &scan_stats));
-      result.batches = exec::BatchesFromDataFrame(std::move(frame));
+          result.batches,
+          engine_->KnnQueryBatch(user_, scan.name, path.knn_query,
+                                 path.knn_k, &scan_stats));
       break;
     }
     case AccessPath::Kind::kStRange: {

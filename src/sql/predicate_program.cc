@@ -5,6 +5,7 @@
 #include <numeric>
 #include <utility>
 
+#include "common/time_util.h"
 #include "obs/metrics.h"
 
 namespace just::sql {
@@ -110,8 +111,31 @@ struct PredicateCompiler {
     return step;
   }
 
+  /// A string constant compared with a timestamp column is a date: it
+  /// becomes a timestamp constant, so the comparison is by value instead of
+  /// by type (which would match no row). A string that does not parse as a
+  /// date is an error naming the literal. Other constants are left as is.
+  Status CoerceToColumn(int col, exec::Value* constant) const {
+    const exec::Field& field = schema.field(static_cast<size_t>(col));
+    if (field.type != exec::DataType::kTimestamp ||
+        constant->type() != exec::DataType::kString) {
+      return Status::OK();
+    }
+    auto parsed = ParseTimestamp(constant->string_value());
+    if (!parsed.ok()) {
+      return Status::InvalidArgument("cannot compare timestamp column '" +
+                                     field.name + "' with '" +
+                                     constant->string_value() +
+                                     "': not a date");
+    }
+    *constant = exec::Value::Timestamp(parsed.value());
+    return Status::OK();
+  }
+
   /// col CMP const. Picks the tightest kernel the types allow.
-  Step ColumnCmpConst(int col, CmpKind cmp, exec::Value constant) const {
+  Result<Step> ColumnCmpConst(int col, CmpKind cmp,
+                              exec::Value constant) const {
+    JUST_RETURN_NOT_OK(CoerceToColumn(col, &constant));
     exec::DataType col_type = schema.field(static_cast<size_t>(col)).type;
     Step step;
     step.cmp = cmp;
@@ -137,7 +161,7 @@ struct PredicateCompiler {
     return step;
   }
 
-  Step Compile(const Expr& conjunct) const {
+  Result<Step> Compile(const Expr& conjunct) const {
     // Constant conjunct: fold it away entirely.
     Result<exec::Value> folded = exec::Value::Null();
     if (FoldConstant(conjunct, &folded)) {
@@ -195,6 +219,8 @@ struct PredicateCompiler {
       if (!lo.ok() || !hi.ok()) return ConstFalse();
       int col = schema.IndexOf(conjunct.args[0]->column);
       if (col < 0) return ConstFalse();
+      JUST_RETURN_NOT_OK(CoerceToColumn(col, &lo.value()));
+      JUST_RETURN_NOT_OK(CoerceToColumn(col, &hi.value()));
       Step step;
       step.col = col;
       exec::DataType col_type = schema.field(static_cast<size_t>(col)).type;
@@ -251,7 +277,7 @@ Result<std::shared_ptr<const PredicateProgram>> PredicateProgram::Compile(
     std::vector<const Expr*> nested;  // re-split: callers pass raw residuals
     SplitConjuncts(conjunct, &nested);
     for (const Expr* e : nested) {
-      Step step = compiler.Compile(*e);
+      JUST_ASSIGN_OR_RETURN(Step step, compiler.Compile(*e));
       if (step.op == Step::Op::kConstFalse && step.col == -2) {
         continue;  // constant-folded to true: no work at runtime
       }

@@ -48,7 +48,9 @@ struct PredicateStats {
 /// row-at-a-time Filter convention.
 class PredicateProgram {
  public:
-  /// Compiles `conjuncts` (implicitly ANDed) against `schema`.
+  /// Compiles `conjuncts` (implicitly ANDed) against `schema`. A string
+  /// literal compared with a timestamp column compiles to a timestamp
+  /// constant; one that is not a date fails the compile.
   static Result<std::shared_ptr<const PredicateProgram>> Compile(
       const std::vector<const Expr*>& conjuncts, const exec::Schema& schema);
   /// Splits `predicate` into conjuncts and compiles them.

@@ -9,6 +9,7 @@
 #include "core/plugins.h"
 #include "core/result_set.h"
 #include "core/row_codec.h"
+#include "sql/justql.h"
 #include "test_util.h"
 #include "workload/generators.h"
 
@@ -244,6 +245,14 @@ TEST(EngineQueryTest, StRangeMatchesBruteForce) {
   }
 }
 
+std::vector<std::string> FidsOf(const exec::DataFrame& frame) {
+  std::vector<std::string> fids;
+  for (const auto& row : frame.rows()) fids.push_back(row[0].string_value());
+  return fids;
+}
+
+// The DataFrame API, the Batch API and SQL st_KNN all return the k nearest
+// fids, nearest first, as a brute-force distance sort does.
 TEST(EngineQueryTest, KnnMatchesBruteForce) {
   TempDir dir("engine_knn");
   auto engine = JustEngine::Open(SmallEngine(dir.path()));
@@ -251,31 +260,95 @@ TEST(EngineQueryTest, KnnMatchesBruteForce) {
   ASSERT_TRUE((*engine)->CreateTable(PointTableMeta("u", "pts")).ok());
   Dataset data = InsertRandomPoints(engine->get(), "u", "pts", 1500, 15);
   ASSERT_TRUE((*engine)->Finalize().ok());
+  sql::JustQL ql(engine->get());
 
   Rng rng(16);
   for (int trial = 0; trial < 8; ++trial) {
     geo::Point q{rng.Uniform(116.1, 116.9), rng.Uniform(39.1, 39.9)};
     int k = 1 + static_cast<int>(rng.Uniform(50));
+    // Brute force: every point by distance.
+    std::vector<std::pair<double, std::string>> by_dist;
+    for (size_t i = 0; i < data.points.size(); ++i) {
+      by_dist.emplace_back(geo::EuclideanDistance(q, data.points[i]),
+                           "p" + std::to_string(i));
+    }
+    std::sort(by_dist.begin(), by_dist.end());
+    std::vector<std::string> expected;
+    for (int i = 0; i < k; ++i) expected.push_back(by_dist[i].second);
+
     auto result = (*engine)->KnnQuery("u", "pts", q, k);
     ASSERT_TRUE(result.ok());
     ASSERT_EQ(result->num_rows(), static_cast<size_t>(k));
-    // Brute-force distances.
-    std::vector<double> expected;
-    for (const geo::Point& p : data.points) {
-      expected.push_back(geo::EuclideanDistance(q, p));
-    }
-    std::sort(expected.begin(), expected.end());
     // Results are nearest-first and match the k smallest distances.
     double prev = -1;
     for (int i = 0; i < k; ++i) {
       const auto& row = result->rows()[i];
       double d = geo::EuclideanDistance(
           q, row[2].geometry_value().AsPoint());
-      EXPECT_NEAR(d, expected[i], 1e-9) << "rank " << i;
+      EXPECT_NEAR(d, by_dist[i].first, 1e-9) << "rank " << i;
       EXPECT_GE(d, prev);
       prev = d;
     }
+    EXPECT_EQ(FidsOf(*result), expected);
+
+    auto batches = (*engine)->KnnQueryBatch("u", "pts", q, k);
+    ASSERT_TRUE(batches.ok());
+    EXPECT_EQ(FidsOf(exec::BatchesToDataFrame(
+                  PointTableMeta("u", "pts").MakeSchema(), *batches)),
+              expected);
+
+    char sql[160];
+    std::snprintf(sql, sizeof(sql),
+                  "SELECT fid FROM pts WHERE geom IN "
+                  "st_KNN(st_makePoint(%.17g, %.17g), %d)",
+                  q.lng, q.lat, k);
+    auto via_sql = ql.Execute("u", sql);
+    ASSERT_TRUE(via_sql.ok()) << via_sql.status().ToString();
+    EXPECT_EQ(FidsOf(via_sql->frame), expected);
   }
+}
+
+// k >= table size over world-wide points: the expansion cannot prune, so
+// k-NN falls back to a full scan. That scan reaches QueryStats and the
+// tenant's scan-byte charge.
+TEST(EngineQueryTest, KnnFullScanFallbackIsCountedAndCharged) {
+  TempDir dir("engine_knn_fallback");
+  auto engine = JustEngine::Open(SmallEngine(dir.path()));
+  ASSERT_TRUE(engine.ok());
+  ASSERT_TRUE((*engine)->CreateTable(PointTableMeta("u", "pts")).ok());
+  constexpr int kRows = 300;
+  Rng rng(21);
+  TimestampMs base = ParseTimestamp("2018-10-01").value();
+  for (int i = 0; i < kRows; ++i) {
+    ASSERT_TRUE((*engine)
+                    ->Insert("u", "pts",
+                             PointRow("w" + std::to_string(i),
+                                      rng.Uniform(-179.0, 179.0),
+                                      rng.Uniform(-89.0, 89.0), base))
+                    .ok());
+  }
+  ASSERT_TRUE((*engine)->Finalize().ok());
+
+  QueryStats full;
+  auto all = (*engine)->FullScan("u", "pts", &full);
+  ASSERT_TRUE(all.ok());
+  ASSERT_EQ(all->num_rows(), static_cast<size_t>(kRows));
+  ASSERT_GT(full.bytes_scanned, 0u);
+
+  const uint64_t charged_before =
+      (*engine)->quota_manager()->GetCounters("u").scan_bytes_charged;
+  QueryStats stats;
+  auto knn = (*engine)->KnnQuery("u", "pts", geo::Point{0.5, 0.5}, kRows,
+                                 &stats);
+  ASSERT_TRUE(knn.ok()) << knn.status().ToString();
+  EXPECT_EQ(knn->num_rows(), static_cast<size_t>(kRows));
+  EXPECT_GE(stats.rows_scanned, static_cast<size_t>(kRows));
+  EXPECT_GE(stats.bytes_scanned, full.bytes_scanned);
+  const uint64_t charged =
+      (*engine)->quota_manager()->GetCounters("u").scan_bytes_charged -
+      charged_before;
+  EXPECT_GE(charged, full.bytes_scanned);
+  EXPECT_EQ(charged, stats.bytes_scanned);
 }
 
 TEST(EngineQueryTest, UpdateEnabledInsertOverwritesAndExtends) {

@@ -227,29 +227,6 @@ TEST(OperatorsTest, HashJoin) {
   EXPECT_GE(out->schema().IndexOf("name_r"), 0);
 }
 
-TEST(OperatorsTest, FlatMapExpandsRows) {
-  auto out_schema = std::make_shared<Schema>();
-  out_schema->AddField({"id", DataType::kInt});
-  DataFrame out = FlatMapRows(TestFrame(), out_schema, [](const Row& row) {
-    std::vector<Row> expanded;
-    for (int i = 0; i < row[0].int_value(); ++i) {
-      expanded.push_back({row[0]});
-    }
-    return expanded;
-  });
-  EXPECT_EQ(out.num_rows(), 1u + 2 + 3 + 4);
-}
-
-TEST(OperatorsTest, UnionRequiresMatchingSchema) {
-  auto ok = Union(TestFrame(), TestFrame());
-  ASSERT_TRUE(ok.ok());
-  EXPECT_EQ(ok->num_rows(), 8u);
-  auto other_schema = std::make_shared<Schema>();
-  other_schema->AddField({"x", DataType::kInt});
-  DataFrame other(other_schema);
-  EXPECT_FALSE(Union(TestFrame(), other).ok());
-}
-
 // --- ColumnBatch ---
 
 TEST(ColumnBatchTest, TypedStorageSelection) {

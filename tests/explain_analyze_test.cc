@@ -175,6 +175,23 @@ TEST_F(ExplainAnalyzeTest, AnalyzeCountersMatchRegistryDelta) {
             1u);
 }
 
+// A plain full scan counts in the just_query_* counters like every other
+// scan: the registry's rows_scanned delta is the table's row count.
+TEST_F(ExplainAnalyzeTest, FullScanSelectCountsEveryRowScanned) {
+  auto& registry = obs::Registry::Global();
+  obs::RegistrySnapshot before = registry.GetSnapshot();
+  auto r = Run("SELECT fid FROM orders");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  obs::RegistrySnapshot after = registry.GetSnapshot();
+  auto delta = [&](const char* name) {
+    return after.counter(name) - before.counter(name);
+  };
+  EXPECT_EQ(r->frame.num_rows(), 500u);
+  EXPECT_EQ(delta("just_query_rows_scanned_total"), 500u);
+  EXPECT_EQ(delta("just_query_rows_matched_total"), 500u);
+  EXPECT_GT(delta("just_query_key_ranges_total"), 0u);
+}
+
 // The columnar path's EXPLAIN surface: per-stage batch counts plus the
 // predicate-program evaluation mode and its specialized-vs-interpreted time.
 TEST_F(ExplainAnalyzeTest, AnalyzeShowsBatchCountsAndEvalMode) {

@@ -7,7 +7,8 @@
 #include <memory>
 
 #include "core/engine.h"
-#include "kvstore/sstable.h"
+#include "core/result_set.h"
+#include "obs/metrics.h"
 #include "sql/justql.h"
 #include "test_util.h"
 #include "workload/generators.h"
@@ -230,10 +231,13 @@ TEST(IntegrationTest, CompressionReducesIoOnScans) {
     ASSERT_TRUE((*engine)->Insert("u", "gps", row).ok());
   }
   ASSERT_TRUE((*engine)->Finalize().ok());
-  uint64_t before = kv::GlobalIoStats().bytes_read;
+  auto bytes_read = [] {
+    return obs::Registry::Global().CounterValue("just_kv_bytes_read_total");
+  };
+  uint64_t before = bytes_read();
   auto frame = (*engine)->FullScan("u", "gps");
   ASSERT_TRUE(frame.ok());
-  uint64_t compressed_read = kv::GlobalIoStats().bytes_read - before;
+  uint64_t compressed_read = bytes_read() - before;
   // Logical GPS bytes: 400 pts x 24 B x 40 trajectories = 384 KB; the scan
   // must have read much less thanks to the delta+LZ77 cells.
   EXPECT_LT(compressed_read, 40u * 400u * 24u / 2);

@@ -150,33 +150,25 @@ TEST(LeveledCompactionTest, DeeperLevelsNeverOverlap) {
   }
 }
 
-// A v1 MANIFEST (PR-4 and earlier: "wal N" plus bare file numbers, no
-// levels, no key ranges) must still open. All its tables load into L0 —
-// the set the old full-merge read path consulted — and the next flush
-// rewrites the MANIFEST in the v2 format with per-file key ranges.
-TEST(LeveledCompactionTest, ManifestV1UpgradesOnOpen) {
+// A v1 MANIFEST ("wal N" plus bare file numbers, no header, no levels, no
+// key ranges) is refused at open with Corruption naming the file; it is
+// never loaded or rewritten.
+TEST(LeveledCompactionTest, ManifestV1IsRefusedOnOpen) {
   TempDir dir("manifest_v1");
   const std::string manifest_path = dir.path() + "/MANIFEST";
   std::vector<uint64_t> file_numbers;
   std::string wal_line;
   {
-    StoreOptions opts = LeveledOptions(dir.path());
-    opts.compaction_trigger = 100;  // keep every flush output in L0
-    auto store = LsmStore::Open(opts);
+    auto store = LsmStore::Open(LeveledOptions(dir.path()));
     ASSERT_TRUE(store.ok());
-    for (int round = 0; round < 3; ++round) {
-      for (int i = round * 20; i < round * 20 + 30; ++i) {
-        ASSERT_TRUE((*store)->Put(TestKey(i), TestValue(i, round)).ok());
-      }
-      ASSERT_TRUE((*store)->Flush().ok());
+    for (int i = 0; i < 30; ++i) {
+      ASSERT_TRUE((*store)->Put(TestKey(i), TestValue(i, 0)).ok());
     }
-    auto levels = (*store)->GetLevelInfo();
-    ASSERT_FALSE(levels.empty());
-    for (const auto& table : levels[0]) {
-      file_numbers.push_back(table.file_number);
+    ASSERT_TRUE((*store)->Flush().ok());
+    for (const auto& level : (*store)->GetLevelInfo()) {
+      for (const auto& table : level) file_numbers.push_back(table.file_number);
     }
-    ASSERT_EQ(file_numbers.size(), 3u);
-    // Keep the real minimum-live-WAL line so replay semantics are intact.
+    ASSERT_FALSE(file_numbers.empty());
     std::string manifest;
     ASSERT_TRUE(
         Env::Default()->ReadFileToString(manifest_path, &manifest).ok());
@@ -186,42 +178,26 @@ TEST(LeveledCompactionTest, ManifestV1UpgradesOnOpen) {
   }
 
   // Rewrite the MANIFEST the way a pre-leveled store would have left it.
+  std::string v1_body = wal_line + "\n";
+  for (uint64_t number : file_numbers) {
+    v1_body += std::to_string(number) + "\n";
+  }
   {
     auto file = Env::Default()->NewWritableFile(manifest_path, true);
     ASSERT_TRUE(file.ok());
-    std::string body = wal_line + "\n";
-    for (uint64_t number : file_numbers) {
-      body += std::to_string(number) + "\n";
-    }
-    ASSERT_TRUE((*file)->Append(body).ok());
+    ASSERT_TRUE((*file)->Append(v1_body).ok());
     ASSERT_TRUE((*file)->Close().ok());
   }
 
   auto store = LsmStore::Open(LeveledOptions(dir.path()));
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  // Every table the v1 manifest referenced is live, in L0.
-  auto levels = (*store)->GetLevelInfo();
-  ASSERT_FALSE(levels.empty());
-  EXPECT_EQ(levels[0].size(), 3u);
-  for (size_t level = 1; level < levels.size(); ++level) {
-    EXPECT_TRUE(levels[level].empty());
-  }
-  // Later rounds overwrote earlier ones; precedence must survive the
-  // upgrade (L0 keeps flush order).
-  std::string value;
-  ASSERT_TRUE((*store)->Get(TestKey(45), &value).ok());
-  EXPECT_EQ(value, TestValue(45, 2));
-  ASSERT_TRUE((*store)->Get(TestKey(5), &value).ok());
-  EXPECT_EQ(value, TestValue(5, 0));
-
-  // The first durable change rewrites the MANIFEST in v2 form.
-  ASSERT_TRUE((*store)->Put("upgrade-marker", "yes").ok());
-  ASSERT_TRUE((*store)->Flush().ok());
+  ASSERT_FALSE(store.ok());
+  EXPECT_TRUE(store.status().IsCorruption()) << store.status().ToString();
+  EXPECT_NE(store.status().ToString().find(manifest_path), std::string::npos)
+      << store.status().ToString();
+  // The refused MANIFEST is left as it was.
   std::string manifest;
   ASSERT_TRUE(Env::Default()->ReadFileToString(manifest_path, &manifest).ok());
-  EXPECT_EQ(manifest.rfind("just-manifest 2\n", 0), 0u)
-      << "MANIFEST not rewritten as v2: " << manifest;
-  EXPECT_NE(manifest.find("file 0 "), std::string::npos);
+  EXPECT_EQ(manifest, v1_body);
 }
 
 // A MANIFEST claiming an unknown format version must fail the open with

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "sql/analyzer.h"
 #include "sql/executor.h"
 #include "sql/justql.h"
@@ -126,6 +130,33 @@ TEST_F(SqlEdgeTest, BetweenOnStringsAndDates) {
   EXPECT_EQ(r2->frame.num_rows(), 1u);
 }
 
+// A residual comparison of the timestamp column with a date string compares
+// by value, from either side; a string that is not a date is an error.
+TEST_F(SqlEdgeTest, TimestampComparedWithDateStringByValue) {
+  auto fids = [&](const std::string& where) {
+    auto r = Run("SELECT fid FROM t WHERE " + where);
+    EXPECT_TRUE(r.ok()) << where << " -> " << r.status().ToString();
+    std::vector<std::string> out;
+    if (!r.ok()) return out;
+    for (const auto& row : r->frame.rows()) out.push_back(row[0].ToString());
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  using Fids = std::vector<std::string>;
+  EXPECT_EQ(fids("time < '2018-10-02 00:00:00'"), Fids{"a"});
+  EXPECT_EQ(fids("'2018-10-02' <= time"), Fids{"b"});
+  EXPECT_EQ(fids("time = '2018-10-02 00:00:00'"), Fids{"b"});
+  EXPECT_EQ(fids("time >= '2018-10-01' AND n < 5"), (Fids{"a", "b"}));
+  // Beside an index-answerable box, the comparison stays a residual.
+  EXPECT_EQ(fids("geom WITHIN st_makeMBR(116.0, 39.0, 117.0, 40.0) AND "
+                 "time > '2018-10-01 12:00:00'"),
+            Fids{"b"});
+  auto bad = Run("SELECT fid FROM t WHERE time < 'yesterday'");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.status().ToString().find("'yesterday'"), std::string::npos)
+      << bad.status().ToString();
+}
+
 TEST_F(SqlEdgeTest, DivisionByZeroIsAnError) {
   EXPECT_FALSE(Run("SELECT fid FROM t WHERE n = 1 / 0").ok());
 }
@@ -151,6 +182,10 @@ TEST_F(SqlEdgeTest, KnnWithMoreKThanRows) {
       "100)");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->frame.num_rows(), 2u);  // all rows, gracefully
+  auto none = Run(
+      "SELECT fid FROM t WHERE geom IN st_KNN(st_makePoint(116.4, 39.9), 0)");
+  ASSERT_TRUE(none.ok()) << none.status().ToString();
+  EXPECT_EQ(none->frame.num_rows(), 0u);
 }
 
 TEST_F(SqlEdgeTest, SelectLiteralOnly) {

@@ -391,6 +391,53 @@ TEST_F(StreamTest, ScanQuotaShedsAdHocQueriesWhenInDebt) {
   EXPECT_GE(engine_->quota_manager()->GetCounters("tester").scan_sheds, 1u);
 }
 
+// JustEngine::FullScan is admitted and charged like every other query: with
+// a 1-byte scan budget the first call overdraws and the second sheds.
+TEST_F(StreamTest, FullScanIsChargedToScanQuota) {
+  CreateVehicles();
+  for (int i = 0; i < 10; ++i) {
+    MustRun("INSERT INTO vehicles VALUES " +
+            VehicleValues("v" + std::to_string(i), "x", i,
+                          "2018-10-01 10:00:00", 116.4, 39.9));
+  }
+  ASSERT_TRUE(engine_->Finalize().ok());
+  meta::TenantQuotaConfig q;
+  q.scan_bytes_per_sec = 1;
+  q.scan_burst_bytes = 1;
+  ASSERT_TRUE(engine_->SetTenantQuota("tester", q).ok());
+  auto first = engine_->FullScan("tester", "vehicles");
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->num_rows(), 10u);
+  EXPECT_GT(engine_->quota_manager()->GetCounters("tester").scan_bytes_charged,
+            0u);
+  auto second = engine_->FullScan("tester", "vehicles");
+  ASSERT_FALSE(second.ok());
+  EXPECT_TRUE(second.status().IsResourceExhausted())
+      << second.status().ToString();
+}
+
+// A CQ predicate comparing the timestamp column with a date string compares
+// by value; a string that is not a date fails the registration.
+TEST_F(StreamTest, TimestampPredicateComparesDateStringByValue) {
+  CreateVehicles();
+  MustRun(
+      "CREATE CONTINUOUS QUERY early ON vehicles "
+      "WHERE time < '2018-10-02 00:00:00'");
+  MustRun("INSERT STREAM INTO vehicles VALUES " +
+          VehicleValues("before", "a", 10, "2018-10-01 10:00:00", 116, 39) +
+          ", " +
+          VehicleValues("after", "a", 10, "2018-10-03 10:00:00", 116, 39));
+  auto taken = engine_->stream_hub()->TakeNotifications("tester", "early");
+  ASSERT_TRUE(taken.ok()) << taken.status().ToString();
+  ASSERT_EQ(taken->size(), 1u);
+  EXPECT_EQ((*taken)[0].fid, "before");
+
+  auto bad = Run("CREATE CONTINUOUS QUERY bad ON vehicles WHERE time < 'soon'");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.status().ToString().find("'soon'"), std::string::npos)
+      << bad.status().ToString();
+}
+
 // Per-query CQ metrics: matches/notifications counted under a query label.
 TEST_F(StreamTest, ContinuousQueryMetricsLand) {
   CreateVehicles();

@@ -331,6 +331,40 @@ TEST(ClusterScanTest, ParallelScanSingleShardRangeStillWorks) {
   EXPECT_EQ((*results_or)[0].rows.size(), 10u);
 }
 
+// ParallelScan (the unbudgeted query path) counts the rows it fetches in
+// just_cluster_scan_rows_fetched_total, as the sequential Scan does.
+TEST(ClusterScanTest, ParallelScanCountsRowsFetched) {
+  TempDir dir("parallel_fetched");
+  auto cluster_or = cluster::RegionCluster::Open(SmallClusterOptions(dir.path()));
+  ASSERT_TRUE(cluster_or.ok());
+  cluster::RegionCluster* cluster = cluster_or->get();
+
+  for (char shard = 1; shard <= 3; ++shard) {
+    for (int i = 0; i < 7; ++i) {
+      std::string key(1, shard);
+      key += "k" + std::to_string(i);
+      ASSERT_TRUE(cluster->Put(key, "v").ok());
+    }
+  }
+  std::vector<curve::KeyRange> ranges;
+  for (char shard = 1; shard <= 3; ++shard) {
+    curve::KeyRange range;
+    range.start = std::string(1, shard);
+    range.end = std::string(1, static_cast<char>(shard + 1));
+    ranges.push_back(range);
+  }
+  const uint64_t fetched_before =
+      GlobalCounter("just_cluster_scan_rows_fetched_total");
+  auto results_or = cluster->ParallelScan(ranges);
+  ASSERT_TRUE(results_or.ok());
+  size_t rows = 0;
+  for (const auto& result : *results_or) rows += result.rows.size();
+  EXPECT_EQ(rows, 21u);
+  EXPECT_EQ(GlobalCounter("just_cluster_scan_rows_fetched_total") -
+                fetched_before,
+            21u);
+}
+
 // ---------------------------------------------------------------------------
 // Satellite: Scan buffered each server's whole range before early stop.
 
