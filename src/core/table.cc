@@ -272,13 +272,14 @@ Status StTable::WriteKeys(const exec::Row& row, bool delete_instead) {
 Result<exec::BatchVector> StTable::ScanRangesToBatches(
     const std::vector<curve::KeyRange>& ranges,
     const std::function<void(exec::ColumnBatch*)>& refine, QueryStats* stats,
-    const ScanBudget* budget, bool dedupe_keys, int fid_offset,
+    const ScanBudget* budget, int fid_offset,
     const std::unordered_set<std::string>* skip_fids) const {
+  // The ranges never overlap (every strategy emits sorted, disjoint ranges)
+  // and the cluster rescans a range whole on retry, so no key repeats.
   auto schema = meta_.MakeSchema();
   BatchRowDecoder decoder(meta_);
   exec::BatchVector batches;
   exec::ColumnBatch current(schema);
-  std::unordered_set<std::string> seen_keys;
   size_t scanned = 0;
   size_t matched = 0;
   size_t bytes = 0;
@@ -311,9 +312,6 @@ Result<exec::BatchVector> StTable::ScanRangesToBatches(
         key.size() > static_cast<size_t>(fid_offset) &&
         skip_fids->count(std::string(key.substr(fid_offset))) != 0) {
       return true;  // already delivered by an earlier expansion area
-    }
-    if (dedupe_keys && !seen_keys.insert(std::string(key)).second) {
-      return true;  // overlapping ranges
     }
     if (current.num_rows() >= batch_cap) {
       inner = flush();
@@ -413,6 +411,11 @@ Result<exec::BatchVector> StTable::SecondaryIndexQueryBatch(
     sel.reserve(batch->num_active());
     auto in_bounds = [&](uint32_t row) {
       exec::Value v = c.ValueAt(row);
+      if (v.is_null()) {
+        // NULL orders against nothing: only `col = NULL` holds for it.
+        return lower.present && upper.present && lower.value.is_null() &&
+               upper.value.is_null();
+      }
       if (lower.present) {
         int cmp = v.Compare(lower.value);
         if (cmp < 0 || (cmp == 0 && !lower.inclusive)) return false;
@@ -435,8 +438,7 @@ Result<exec::BatchVector> StTable::SecondaryIndexQueryBatch(
     batch->SetSelection(std::move(sel));
   };
   return ScanRangesToBatches(ranges, refine, stats, budget,
-                             /*dedupe_keys=*/false, /*fid_offset=*/0,
-                             /*skip_fids=*/nullptr);
+                             /*fid_offset=*/0, /*skip_fids=*/nullptr);
 }
 
 Result<size_t> StTable::SecondaryIndexProbe(const meta::SecondaryIndexDef& def,
@@ -571,20 +573,22 @@ void StTable::RefineBatch(exec::ColumnBatch* batch, const geo::Mbr& box,
       }
     }
     if (keep && temporal) {
+      // A NULL time never matches a window; a table without a time column
+      // is windowed by its trajectories' start times.
+      bool have_t = false;
       TimestampMs t = 0;
       if (t_typed) {
-        if (!tcol->IsNull(row)) {
-          t = t_data[row];
-        } else if (traj != nullptr) {
-          t = traj->start_time();
-        }
-      } else if (tcol != nullptr && tcol->storage() == Storage::kObject &&
-                 tcol->ObjectAt(row).type() == exec::DataType::kTimestamp) {
-        t = tcol->ObjectAt(row).timestamp_value();
+        have_t = !tcol->IsNull(row);
+        if (have_t) t = t_data[row];
+      } else if (tcol != nullptr) {
+        have_t = tcol->storage() == Storage::kObject &&
+                 tcol->ObjectAt(row).type() == exec::DataType::kTimestamp;
+        if (have_t) t = tcol->ObjectAt(row).timestamp_value();
       } else if (traj != nullptr) {
+        have_t = true;
         t = traj->start_time();
       }
-      keep = t >= t_min && t <= t_max;
+      keep = have_t && t >= t_min && t <= t_max;
     }
     if (keep) sel.push_back(row);
   }
@@ -599,8 +603,8 @@ Result<exec::BatchVector> StTable::RunRangesBatch(
   auto refine = [this, &box, temporal, t_min, t_max](exec::ColumnBatch* b) {
     RefineBatch(b, box, temporal, t_min, t_max);
   };
-  return ScanRangesToBatches(ranges, refine, stats, budget,
-                             /*dedupe_keys=*/true, fid_offset, skip_fids);
+  return ScanRangesToBatches(ranges, refine, stats, budget, fid_offset,
+                             skip_fids);
 }
 
 Result<exec::BatchVector> StTable::SpatialRangeQueryBatch(
@@ -778,8 +782,7 @@ Result<exec::BatchVector> StTable::FullScanBatch(
     ranges.push_back(std::move(range));
   }
   return ScanRangesToBatches(ranges, /*refine=*/nullptr, stats, budget,
-                             /*dedupe_keys=*/false, /*fid_offset=*/0,
-                             /*skip_fids=*/nullptr);
+                             /*fid_offset=*/0, /*skip_fids=*/nullptr);
 }
 
 }  // namespace just::core

@@ -235,8 +235,7 @@ class StTable {
   Result<exec::BatchVector> ScanRangesToBatches(
       const std::vector<curve::KeyRange>& ranges,
       const std::function<void(exec::ColumnBatch*)>& refine,
-      QueryStats* stats, const ScanBudget* budget, bool dedupe_keys,
-      int fid_offset,
+      QueryStats* stats, const ScanBudget* budget, int fid_offset,
       const std::unordered_set<std::string>* skip_fids) const;
 
   /// Exact refinement as column loops: geometry containment / trajectory

@@ -10,6 +10,9 @@ namespace just::curve {
 namespace {
 
 constexpr uint32_t kPeriodBias = 1u << 31;
+// Periods the 4-byte period field can hold (AppendPeriod biases by 2^31).
+constexpr int64_t kMinPeriod = -static_cast<int64_t>(kPeriodBias);
+constexpr int64_t kMaxPeriod = static_cast<int64_t>(kPeriodBias) - 1;
 
 // FNV-1a over the fid; stable across runs so shards are deterministic.
 uint64_t HashFid(const std::string& fid) {
@@ -102,10 +105,60 @@ class Xz2Strategy : public IndexStrategy {
   Xz2Sfc sfc_;
 };
 
-// Shared period plumbing for the four time-aware strategies.
+// Shared period plumbing for the four time-aware strategies. QueryRanges
+// emits shard-major, period-ascending ranges, so the output is sorted and
+// disjoint.
 class TimeAwareStrategy : public IndexStrategy {
+ public:
+  std::vector<KeyRange> QueryRanges(const geo::Mbr& box, TimestampMs t_min,
+                                    TimestampMs t_max) const final {
+    std::vector<KeyRange> out;
+    if (t_min > t_max) return out;  // empty window
+    const int64_t first = PeriodOf(t_min) - LeadingPeriods();
+    const int64_t last = PeriodOf(t_max);
+    // A window reaching past the period field (an open end, INT64_MIN /
+    // INT64_MAX, or a far date) would plan billions of periods, so it scans
+    // its period span per shard and refinement applies the box. So does a
+    // whole-earth box when time is not in the curve: one shard's keys of
+    // the qualifying periods are contiguous.
+    if (first < kMinPeriod || last > kMaxPeriod ||
+        (!TimeInCurve() && box.Contains(geo::Mbr::World()))) {
+      for (int shard = 0; shard < options_.num_shards; ++shard) {
+        out.push_back(PeriodSpan(shard, first, last));
+      }
+      return out;
+    }
+    // Without time in the curve one decomposition serves every period.
+    const int64_t window_first = PeriodOf(t_min);
+    const int64_t decomposed_last = TimeInCurve() ? last : first;
+    std::vector<std::vector<SfcRange>> per_period;
+    for (int64_t period = first; period <= decomposed_last; ++period) {
+      double t0 = period == window_first ? FracOf(t_min, period) : 0.0;
+      double t1 = period == last ? FracOf(t_max, period) : 1.0;
+      per_period.push_back(PeriodRanges(box, t0, t1));
+    }
+    for (int shard = 0; shard < options_.num_shards; ++shard) {
+      for (int64_t period = first; period <= last; ++period) {
+        const int64_t i = std::min(period, decomposed_last) - first;
+        AppendRangesForPrefix(PrefixFor(shard, period),
+                              per_period[static_cast<size_t>(i)], &out);
+      }
+    }
+    return out;
+  }
+
  protected:
   using IndexStrategy::IndexStrategy;
+
+  /// SFC ranges of `box` within one qualified period; [t0, t1] is the
+  /// window's fraction of that period.
+  virtual std::vector<SfcRange> PeriodRanges(const geo::Mbr& box, double t0,
+                                             double t1) const = 0;
+  /// True when the curve encodes time within the period (Z3/XZ3), so each
+  /// period needs its own decomposition.
+  virtual bool TimeInCurve() const { return false; }
+  /// Periods scanned before the window's first one.
+  virtual int64_t LeadingPeriods() const { return 0; }
 
   int64_t PeriodOf(TimestampMs t) const {
     return TimePeriodNumber(t, options_.period_len_ms);
@@ -124,6 +177,17 @@ class TimeAwareStrategy : public IndexStrategy {
     AppendPeriod(&prefix, period);
     return prefix;
   }
+
+  // Every key of `shard` whose period lies in [first, last], each end
+  // saturated to the period field; the end is past any key of `last`, as
+  // AppendRangesForPrefix ends an sfc range at UINT64_MAX.
+  KeyRange PeriodSpan(int shard, int64_t first, int64_t last) const {
+    KeyRange kr;
+    kr.start = PrefixFor(shard, first);
+    kr.end = PrefixFor(shard, last);
+    kr.end.append(sizeof(uint64_t) + 1, '\xff');
+    return kr;
+  }
 };
 
 class Z3Strategy : public TimeAwareStrategy {
@@ -140,22 +204,12 @@ class Z3Strategy : public TimeAwareStrategy {
     return key;
   }
 
-  std::vector<KeyRange> QueryRanges(const geo::Mbr& box, TimestampMs t_min,
-                                    TimestampMs t_max) const override {
-    std::vector<KeyRange> out;
-    int64_t first = PeriodOf(t_min);
-    int64_t last = PeriodOf(t_max);
-    for (int64_t period = first; period <= last; ++period) {
-      double t0 = (period == first) ? FracOf(t_min, period) : 0.0;
-      double t1 = (period == last) ? FracOf(t_max, period) : 1.0;
-      auto sfc_ranges =
-          sfc_.Ranges(box, t0, t1, options_.max_ranges_per_period);
-      for (int shard = 0; shard < options_.num_shards; ++shard) {
-        AppendRangesForPrefix(PrefixFor(shard, period), sfc_ranges, &out);
-      }
-    }
-    return out;
+ protected:
+  std::vector<SfcRange> PeriodRanges(const geo::Mbr& box, double t0,
+                                     double t1) const override {
+    return sfc_.Ranges(box, t0, t1, options_.max_ranges_per_period);
   }
+  bool TimeInCurve() const override { return true; }
 
  private:
   Z3Sfc sfc_;
@@ -177,22 +231,12 @@ class Xz3Strategy : public TimeAwareStrategy {
     return key;
   }
 
-  std::vector<KeyRange> QueryRanges(const geo::Mbr& box, TimestampMs t_min,
-                                    TimestampMs t_max) const override {
-    std::vector<KeyRange> out;
-    int64_t first = PeriodOf(t_min);
-    int64_t last = PeriodOf(t_max);
-    for (int64_t period = first; period <= last; ++period) {
-      double t0 = (period == first) ? FracOf(t_min, period) : 0.0;
-      double t1 = (period == last) ? FracOf(t_max, period) : 1.0;
-      auto sfc_ranges =
-          sfc_.Ranges(box, t0, t1, options_.max_ranges_per_period);
-      for (int shard = 0; shard < options_.num_shards; ++shard) {
-        AppendRangesForPrefix(PrefixFor(shard, period), sfc_ranges, &out);
-      }
-    }
-    return out;
+ protected:
+  std::vector<SfcRange> PeriodRanges(const geo::Mbr& box, double t0,
+                                     double t1) const override {
+    return sfc_.Ranges(box, t0, t1, options_.max_ranges_per_period);
   }
+  bool TimeInCurve() const override { return true; }
 
  private:
   Xz3Sfc sfc_;
@@ -214,19 +258,11 @@ class Z2TStrategy : public TimeAwareStrategy {
     return key;
   }
 
-  std::vector<KeyRange> QueryRanges(const geo::Mbr& box, TimestampMs t_min,
-                                    TimestampMs t_max) const override {
-    // The spatial decomposition is shared by every qualified period.
-    auto sfc_ranges = sfc_.Ranges(box, options_.max_ranges_per_period);
-    std::vector<KeyRange> out;
-    int64_t first = PeriodOf(t_min);
-    int64_t last = PeriodOf(t_max);
-    for (int64_t period = first; period <= last; ++period) {
-      for (int shard = 0; shard < options_.num_shards; ++shard) {
-        AppendRangesForPrefix(PrefixFor(shard, period), sfc_ranges, &out);
-      }
-    }
-    return out;
+ protected:
+  // The spatial decomposition is shared by every qualified period.
+  std::vector<SfcRange> PeriodRanges(const geo::Mbr& box, double,
+                                     double) const override {
+    return sfc_.Ranges(box, options_.max_ranges_per_period);
   }
 
  private:
@@ -248,28 +284,19 @@ class Xz2TStrategy : public TimeAwareStrategy {
     return key;
   }
 
-  std::vector<KeyRange> QueryRanges(const geo::Mbr& box, TimestampMs t_min,
-                                    TimestampMs t_max) const override {
-    auto sfc_ranges = sfc_.Ranges(box, options_.max_ranges_per_period);
-    std::vector<KeyRange> out;
-    // A record binned by its start time can satisfy a query whose window
-    // begins up to one record-duration later; scanning one extra leading
-    // period covers records that started in the previous period (the paper
-    // stores by Time_start; trajectories are within-day in the datasets).
-    int64_t first = PeriodOf(t_min) - 1;
-    int64_t last = PeriodOf(t_max);
-    for (int64_t period = first; period <= last; ++period) {
-      for (int shard = 0; shard < options_.num_shards; ++shard) {
-        // Extent ranges always require refinement against the time window.
-        for (const SfcRange& r : sfc_ranges) {
-          SfcRange weakened = r;
-          weakened.contained = false;
-          AppendRangesForPrefix(PrefixFor(shard, period), {weakened}, &out);
-        }
-      }
-    }
-    return out;
+ protected:
+  std::vector<SfcRange> PeriodRanges(const geo::Mbr& box, double,
+                                     double) const override {
+    auto ranges = sfc_.Ranges(box, options_.max_ranges_per_period);
+    // Extent ranges always require refinement against the time window.
+    for (SfcRange& r : ranges) r.contained = false;
+    return ranges;
   }
+  // A record binned by its start time can satisfy a query whose window
+  // begins up to one record-duration later; scanning one extra leading
+  // period covers records that started in the previous period (the paper
+  // stores by Time_start; trajectories are within-day in the datasets).
+  int64_t LeadingPeriods() const override { return 1; }
 
  private:
   Xz2Sfc sfc_;
@@ -322,6 +349,9 @@ int IndexStrategy::ShardOf(const std::string& fid) const {
 }
 
 void IndexStrategy::AppendPeriod(std::string* key, int64_t period) {
+  // A period the field cannot hold saturates, so keys stay in time order:
+  // a far date shares the first or last period.
+  period = std::clamp(period, kMinPeriod, kMaxPeriod);
   PutFixed32BE(key, static_cast<uint32_t>(period + kPeriodBias));
 }
 

@@ -74,7 +74,12 @@ class IndexStrategy {
   /// Key ranges covering a spatio-temporal box query. Spatial-only indexes
   /// ignore the time bounds; time-aware indexes enumerate qualified periods
   /// (step 1 of Section IV-B's query algorithm). Ranges are produced for
-  /// every shard (step 3 scans them in parallel).
+  /// every shard (step 3 scans them in parallel), sorted and disjoint.
+  ///
+  /// Time-aware indexes scan one range per shard over the qualified
+  /// periods when the window reaches a period the key cannot hold (an open
+  /// end, INT64_MIN / INT64_MAX, or a far date), and Z2T/XZ2T do so for a
+  /// whole-earth box. `t_min > t_max` yields no ranges.
   virtual std::vector<KeyRange> QueryRanges(const geo::Mbr& box,
                                             TimestampMs t_min,
                                             TimestampMs t_max) const = 0;
@@ -94,7 +99,8 @@ class IndexStrategy {
   IndexStrategy(IndexType type, const IndexOptions& options)
       : type_(type), options_(options) {}
 
-  /// Encodes a biased period number to 4 sortable bytes.
+  /// Encodes a biased period number to 4 sortable bytes; a period beyond
+  /// them saturates to the first or last.
   static void AppendPeriod(std::string* key, int64_t period);
 
   IndexType type_;

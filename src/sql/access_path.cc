@@ -1,6 +1,8 @@
 #include "sql/access_path.h"
 
+#include <algorithm>
 #include <cctype>
+#include <limits>
 
 #include "common/time_util.h"
 
@@ -32,16 +34,20 @@ bool IsTimeLiteral(const Expr& e, TimestampMs* out) {
   return false;
 }
 
-bool ColumnEquals(const Expr& e, const std::string& name) {
-  if (e.kind != Expr::Kind::kColumn) return false;
-  if (e.column.size() != name.size()) return false;
-  for (size_t i = 0; i < name.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(e.column[i])) !=
-        std::tolower(static_cast<unsigned char>(name[i]))) {
+/// Column names compare case-insensitively.
+bool SameColumn(const std::string& a, const std::string& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::tolower(static_cast<unsigned char>(a[i])) !=
+        std::tolower(static_cast<unsigned char>(b[i]))) {
       return false;
     }
   }
   return true;
+}
+
+bool ColumnEquals(const Expr& e, const std::string& name) {
+  return e.kind == Expr::Kind::kColumn && SameColumn(e.column, name);
 }
 
 /// Coerces a bound literal into the indexed column's value domain so the
@@ -61,6 +67,81 @@ bool CoerceBoundValue(exec::DataType column_type, exec::Value* value) {
     return true;
   }
   return false;
+}
+
+/// `op` with its operands swapped (`lit < col` is `col > lit`).
+BinaryOp Flip(BinaryOp op) {
+  switch (op) {
+    case BinaryOp::kLt:
+      return BinaryOp::kGt;
+    case BinaryOp::kLe:
+      return BinaryOp::kGe;
+    case BinaryOp::kGt:
+      return BinaryOp::kLt;
+    case BinaryOp::kGe:
+      return BinaryOp::kLe;
+    default:
+      return op;
+  }
+}
+
+/// Intersects [*t_min, *t_max] with the window `conjunct` puts on
+/// `time_column`: a BETWEEN of two time literals, or (when `comparisons`) a
+/// comparison with a time literal on either side. Strict bounds move by one
+/// millisecond. Returns false, and leaves the window alone, for any other
+/// conjunct — including one whose literal is not a time, so the residual
+/// filter still reports it.
+bool FoldTimeConjunct(const Expr& conjunct, const std::string& time_column,
+                      bool comparisons, TimestampMs* t_min,
+                      TimestampMs* t_max) {
+  if (conjunct.kind != Expr::Kind::kBinary) return false;
+  auto narrow = [&](TimestampMs lo, TimestampMs hi) {
+    *t_min = std::max(*t_min, lo);
+    *t_max = std::min(*t_max, hi);
+  };
+  constexpr TimestampMs kMin = std::numeric_limits<TimestampMs>::min();
+  constexpr TimestampMs kMax = std::numeric_limits<TimestampMs>::max();
+  if (conjunct.op == BinaryOp::kBetween) {
+    TimestampMs lo, hi;
+    if (!ColumnEquals(*conjunct.args[0], time_column) ||
+        !IsTimeLiteral(*conjunct.args[1], &lo) ||
+        !IsTimeLiteral(*conjunct.args[2], &hi)) {
+      return false;
+    }
+    narrow(lo, hi);
+    return true;
+  }
+  if (!comparisons || conjunct.args.size() != 2) return false;
+  BinaryOp op;
+  TimestampMs v;
+  if (ColumnEquals(*conjunct.args[0], time_column) &&
+      IsTimeLiteral(*conjunct.args[1], &v)) {
+    op = conjunct.op;
+  } else if (ColumnEquals(*conjunct.args[1], time_column) &&
+             IsTimeLiteral(*conjunct.args[0], &v)) {
+    op = Flip(conjunct.op);
+  } else {
+    return false;
+  }
+  switch (op) {
+    case BinaryOp::kEq:
+      narrow(v, v);
+      return true;
+    case BinaryOp::kGe:
+      narrow(v, kMax);
+      return true;
+    case BinaryOp::kGt:  // nothing is above kMax: an empty window
+      v == kMax ? narrow(kMax, kMin) : narrow(v + 1, kMax);
+      return true;
+    case BinaryOp::kLe:
+      narrow(kMin, v);
+      return true;
+    case BinaryOp::kLt:
+      v == kMin ? narrow(kMax, kMin) : narrow(kMin, v - 1);
+      return true;
+    default:
+      return false;
+  }
 }
 
 /// The `ready` secondary index whose column `e` references, or nullptr.
@@ -91,7 +172,18 @@ Result<AccessPath> ChooseAccessPath(
     const std::vector<const Expr*>& conjuncts) {
   AccessPath path;
   bool have_knn = false;
+  const Expr* box_conjunct = nullptr;        ///< consumed by the box
+  std::vector<const Expr*> time_conjuncts;   ///< consumed by the window
   std::vector<const Expr*> index_conjuncts;  ///< consumed by the bounds
+  // Comparisons on a time column with a ready secondary index bound that
+  // index instead (the selector below weighs it against the curve index).
+  const bool fold_time_comparisons = std::none_of(
+      table_meta.secondary_indexes.begin(),
+      table_meta.secondary_indexes.end(),
+      [&](const meta::SecondaryIndexDef& def) {
+        return def.state == meta::IndexState::kReady &&
+               SameColumn(def.column, table_meta.time_column);
+      });
 
   for (const Expr* conjunct : conjuncts) {
     if (conjunct->kind != Expr::Kind::kBinary) {
@@ -103,18 +195,14 @@ Result<AccessPath> ChooseAccessPath(
         IsGeometryLiteral(*conjunct->args[1])) {
       path.box = conjunct->args[1]->literal.geometry_value().Bounds();
       path.have_box = true;
+      box_conjunct = conjunct;
       continue;
     }
-    if (conjunct->op == BinaryOp::kBetween && !path.have_time &&
-        ColumnEquals(*conjunct->args[0], table_meta.time_column)) {
-      TimestampMs lo, hi;
-      if (IsTimeLiteral(*conjunct->args[1], &lo) &&
-          IsTimeLiteral(*conjunct->args[2], &hi)) {
-        path.t_min = lo;
-        path.t_max = hi;
-        path.have_time = true;
-        continue;
-      }
+    if (!table_meta.time_column.empty() &&
+        FoldTimeConjunct(*conjunct, table_meta.time_column,
+                         fold_time_comparisons, &path.t_min, &path.t_max)) {
+      time_conjuncts.push_back(conjunct);
+      continue;
     }
     if (conjunct->op == BinaryOp::kIn && !have_knn &&
         ColumnEquals(*conjunct->args[0], table_meta.geom_column) &&
@@ -209,12 +297,30 @@ Result<AccessPath> ChooseAccessPath(
     path.upper = core::AttrBound{};
   };
 
+  auto demote_time_window = [&] {
+    for (const Expr* c : time_conjuncts) path.residual.push_back(c);
+    time_conjuncts.clear();
+  };
+
   if (have_knn) {
+    // The expansion answers only the k-NN conjunct: everything else
+    // filters its k rows.
     path.kind = AccessPath::Kind::kKnn;
     path.label = "knn";
+    if (box_conjunct != nullptr) path.residual.push_back(box_conjunct);
+    path.have_box = false;
+    demote_time_window();
     demote_index_bounds();
     return path;
   }
+  // A curve index scans an open-ended window's periods whole, without the
+  // box's pruning: the box drives alone and the window's conjuncts filter.
+  if (path.have_box &&
+      (path.t_min == std::numeric_limits<TimestampMs>::min() ||
+       path.t_max == std::numeric_limits<TimestampMs>::max())) {
+    demote_time_window();
+  }
+  path.have_time = !time_conjuncts.empty();
 
   if (!path.index_column.empty()) {
     bool use_index = false;

@@ -1,6 +1,7 @@
 #ifndef JUST_SQL_ACCESS_PATH_H_
 #define JUST_SQL_ACCESS_PATH_H_
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -29,8 +30,12 @@ struct AccessPath {
 
   bool have_box = false;
   geo::Mbr box{};
+  /// The time window folded from BETWEEN and comparison conjuncts on the
+  /// time column; INT64_MIN / INT64_MAX mark an open end, and t_min > t_max
+  /// an empty window.
   bool have_time = false;
-  TimestampMs t_min = 0, t_max = 0;
+  TimestampMs t_min = std::numeric_limits<TimestampMs>::min();
+  TimestampMs t_max = std::numeric_limits<TimestampMs>::max();
   geo::Point knn_query{};
   int knn_k = 0;
   /// kSecondaryIndex / kIndexIntersection: the indexed column + bounds.
@@ -52,6 +57,13 @@ void SplitConjuncts(const Expr* expr, std::vector<const Expr*>* out);
 /// spatio-temporal refinement filters; many: the curve index drives and the
 /// attribute bounds demote to residual work) — then the curve paths, and
 /// finally a full scan.
+///
+/// Every BETWEEN and `=`/`<`/`<=`/`>`/`>=` comparison of the time column with
+/// a time literal (either side; int, timestamp or date string) intersects
+/// into one window, so `time >= a AND time <= b` runs on Z2T/XZ2T like
+/// BETWEEN. Comparisons stay residual when the time column has a ready
+/// secondary index (they bound it instead); the whole window stays residual
+/// beside a box when an end is open (the box drives alone).
 Result<AccessPath> ChooseAccessPath(core::JustEngine* engine,
                                     const std::string& user,
                                     const meta::TableMeta& table_meta,

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/time_util.h"
 #include "sql/functions.h"
 
 namespace just::sql {
@@ -73,6 +74,15 @@ Result<bool> EvalBool(const Expr& expr, const EvalCtx& ctx) {
   return Status::InvalidArgument("expected boolean, got " + v.ToString());
 }
 
+/// A date literal compared with a timestamp reads as a date, as the
+/// predicate kernels read it at compile time; a column holding strings
+/// compares by type there and here.
+Status CoerceDateLiteral(const Expr& operand, exec::DataType other,
+                         exec::Value* v) {
+  if (operand.kind != Expr::Kind::kLiteral) return Status::OK();
+  return CoerceDateString(other, v);
+}
+
 Result<exec::Value> EvalBinary(const Expr& expr, const EvalCtx& ctx) {
   switch (expr.op) {
     case BinaryOp::kAnd: {
@@ -91,6 +101,12 @@ Result<exec::Value> EvalBinary(const Expr& expr, const EvalCtx& ctx) {
       JUST_ASSIGN_OR_RETURN(auto v, Eval(*expr.args[0], ctx));
       JUST_ASSIGN_OR_RETURN(auto lo, Eval(*expr.args[1], ctx));
       JUST_ASSIGN_OR_RETURN(auto hi, Eval(*expr.args[2], ctx));
+      JUST_RETURN_NOT_OK(CoerceDateLiteral(*expr.args[1], v.type(), &lo));
+      JUST_RETURN_NOT_OK(CoerceDateLiteral(*expr.args[2], v.type(), &hi));
+      // An ordering comparison with a NULL operand is unknown.
+      if (v.is_null() || lo.is_null() || hi.is_null()) {
+        return exec::Value::Null();
+      }
       return exec::Value::Bool(v.Compare(lo) >= 0 && v.Compare(hi) <= 0);
     }
     case BinaryOp::kWithin: {
@@ -120,6 +136,25 @@ Result<exec::Value> EvalBinary(const Expr& expr, const EvalCtx& ctx) {
 
   JUST_ASSIGN_OR_RETURN(auto lhs, Eval(*expr.args[0], ctx));
   JUST_ASSIGN_OR_RETURN(auto rhs, Eval(*expr.args[1], ctx));
+  switch (expr.op) {
+    case BinaryOp::kEq:
+    case BinaryOp::kNe:
+    case BinaryOp::kLt:
+    case BinaryOp::kLe:
+    case BinaryOp::kGt:
+    case BinaryOp::kGe:
+      JUST_RETURN_NOT_OK(CoerceDateLiteral(*expr.args[1], lhs.type(), &rhs));
+      JUST_RETURN_NOT_OK(CoerceDateLiteral(*expr.args[0], rhs.type(), &lhs));
+      // An ordering comparison with a NULL operand is unknown; = and !=
+      // compare NULL as a value.
+      if (expr.op != BinaryOp::kEq && expr.op != BinaryOp::kNe &&
+          (lhs.is_null() || rhs.is_null())) {
+        return exec::Value::Null();
+      }
+      break;
+    default:
+      break;
+  }
   switch (expr.op) {
     case BinaryOp::kEq:
       return exec::Value::Bool(lhs.Equals(rhs));
@@ -170,6 +205,20 @@ Result<exec::Value> EvalBinary(const Expr& expr, const EvalCtx& ctx) {
 }
 
 }  // namespace
+
+Status CoerceDateString(exec::DataType other, exec::Value* v) {
+  if (other != exec::DataType::kTimestamp ||
+      v->type() != exec::DataType::kString) {
+    return Status::OK();
+  }
+  auto parsed = ParseTimestamp(v->string_value());
+  if (!parsed.ok()) {
+    return Status::InvalidArgument("cannot compare a timestamp with '" +
+                                   v->string_value() + "': not a date");
+  }
+  *v = exec::Value::Timestamp(parsed.value());
+  return Status::OK();
+}
 
 Result<exec::Value> EvaluateExpr(const Expr& expr, const exec::Schema& schema,
                                  const exec::Row& row) {

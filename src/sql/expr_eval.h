@@ -16,6 +16,12 @@ namespace just::sql {
 Result<exec::Value> EvaluateExpr(const Expr& expr, const exec::Schema& schema,
                                  const exec::Row& row);
 
+/// A date string compared with a value of type `other` (a timestamp)
+/// becomes a timestamp, so the comparison is by value rather than by type; a
+/// string that is not a date is an error naming it. Other values are left
+/// as they are.
+Status CoerceDateString(exec::DataType other, exec::Value* v);
+
 /// An expression with its column references resolved against one schema at
 /// plan/bind time: evaluation looks offsets up in a per-node table instead
 /// of string-matching the schema per row. Borrows `expr`; the expression

@@ -5,7 +5,6 @@
 #include <numeric>
 #include <utility>
 
-#include "common/time_util.h"
 #include "obs/metrics.h"
 
 namespace just::sql {
@@ -111,25 +110,11 @@ struct PredicateCompiler {
     return step;
   }
 
-  /// A string constant compared with a timestamp column is a date: it
-  /// becomes a timestamp constant, so the comparison is by value instead of
-  /// by type (which would match no row). A string that does not parse as a
-  /// date is an error naming the literal. Other constants are left as is.
+  /// A string constant compared with a timestamp column is a date (see
+  /// CoerceDateString).
   Status CoerceToColumn(int col, exec::Value* constant) const {
-    const exec::Field& field = schema.field(static_cast<size_t>(col));
-    if (field.type != exec::DataType::kTimestamp ||
-        constant->type() != exec::DataType::kString) {
-      return Status::OK();
-    }
-    auto parsed = ParseTimestamp(constant->string_value());
-    if (!parsed.ok()) {
-      return Status::InvalidArgument("cannot compare timestamp column '" +
-                                     field.name + "' with '" +
-                                     constant->string_value() +
-                                     "': not a date");
-    }
-    *constant = exec::Value::Timestamp(parsed.value());
-    return Status::OK();
+    return CoerceDateString(schema.field(static_cast<size_t>(col)).type,
+                            constant);
   }
 
   /// col CMP const. Picks the tightest kernel the types allow.
@@ -312,6 +297,15 @@ bool PredicateProgram::CmpHolds(CmpKind cmp, int c) {
   return false;
 }
 
+bool PredicateProgram::ValueCmpHolds(CmpKind cmp, const exec::Value& a,
+                                     const exec::Value& b) {
+  if ((a.is_null() || b.is_null()) && cmp != CmpKind::kEq &&
+      cmp != CmpKind::kNe) {
+    return false;
+  }
+  return CmpHolds(cmp, a.Compare(b));
+}
+
 void PredicateProgram::RunStep(const Step& step,
                                const exec::ColumnBatch& batch,
                                const std::vector<uint32_t>& in,
@@ -322,9 +316,9 @@ void PredicateProgram::RunStep(const Step& step,
       return;
     case Step::Op::kNumericCmp: {
       const exec::ColumnVector& col = batch.column(step.col);
-      // A null cell compares below any non-null constant (Value::Compare's
-      // null-sorts-first rule).
-      const bool keep_null = CmpHolds(step.cmp, -1);
+      // A null cell differs from the non-null constant and orders against
+      // nothing.
+      const bool keep_null = step.cmp == CmpKind::kNe;
       if (col.storage() == Storage::kInt64) {
         const int64_t* data = col.i64_data();
         for (uint32_t row : in) {
@@ -354,7 +348,7 @@ void PredicateProgram::RunStep(const Step& step,
       // Column degraded to object storage: generic compare, still flat.
       exec::Value constant = exec::Value::Double(step.num_lo);
       for (uint32_t row : in) {
-        if (CmpHolds(step.cmp, col.ObjectAt(row).Compare(constant))) {
+        if (ValueCmpHolds(step.cmp, col.ObjectAt(row), constant)) {
           out->push_back(row);
         }
       }
@@ -385,13 +379,15 @@ void PredicateProgram::RunStep(const Step& step,
       exec::Value hi = exec::Value::Double(step.num_hi);
       for (uint32_t row : in) {
         const exec::Value& v = col.ObjectAt(row);
-        if (v.Compare(lo) >= 0 && v.Compare(hi) <= 0) out->push_back(row);
+        if (!v.is_null() && v.Compare(lo) >= 0 && v.Compare(hi) <= 0) {
+          out->push_back(row);
+        }
       }
       return;
     }
     case Step::Op::kStringCmp: {
       const exec::ColumnVector& col = batch.column(step.col);
-      const bool keep_null = CmpHolds(step.cmp, -1);
+      const bool keep_null = step.cmp == CmpKind::kNe;
       if (col.storage() == Storage::kString) {
         for (uint32_t row : in) {
           if (col.has_nulls() && col.IsNull(row)) {
@@ -406,7 +402,7 @@ void PredicateProgram::RunStep(const Step& step,
       }
       exec::Value constant = exec::Value::String(step.str_const);
       for (uint32_t row : in) {
-        if (CmpHolds(step.cmp, col.ObjectAt(row).Compare(constant))) {
+        if (ValueCmpHolds(step.cmp, col.ObjectAt(row), constant)) {
           out->push_back(row);
         }
       }
@@ -415,8 +411,7 @@ void PredicateProgram::RunStep(const Step& step,
     case Step::Op::kValueCmp: {
       const exec::ColumnVector& col = batch.column(step.col);
       for (uint32_t row : in) {
-        if (CmpHolds(step.cmp,
-                         col.ValueAt(row).Compare(step.value_lo))) {
+        if (ValueCmpHolds(step.cmp, col.ValueAt(row), step.value_lo)) {
           out->push_back(row);
         }
       }
@@ -426,7 +421,8 @@ void PredicateProgram::RunStep(const Step& step,
       const exec::ColumnVector& col = batch.column(step.col);
       for (uint32_t row : in) {
         exec::Value v = col.ValueAt(row);
-        if (v.Compare(step.value_lo) >= 0 && v.Compare(step.value_hi) <= 0) {
+        if (ValueCmpHolds(CmpKind::kGe, v, step.value_lo) &&
+            ValueCmpHolds(CmpKind::kLe, v, step.value_hi)) {
           out->push_back(row);
         }
       }
@@ -436,7 +432,7 @@ void PredicateProgram::RunStep(const Step& step,
       const exec::ColumnVector& a = batch.column(step.col);
       const exec::ColumnVector& b = batch.column(step.col2);
       for (uint32_t row : in) {
-        if (CmpHolds(step.cmp, a.ValueAt(row).Compare(b.ValueAt(row)))) {
+        if (ValueCmpHolds(step.cmp, a.ValueAt(row), b.ValueAt(row))) {
           out->push_back(row);
         }
       }

@@ -108,6 +108,10 @@ class PredicateProgram {
 
   /// cmp(c, 0) for a three-way compare result c.
   static bool CmpHolds(CmpKind cmp, int c);
+  /// `a cmp b` by Value::Compare, except that an ordering comparison with a
+  /// NULL operand never holds (= and != compare NULL as a value).
+  static bool ValueCmpHolds(CmpKind cmp, const exec::Value& a,
+                            const exec::Value& b);
 
   void RunStep(const Step& step, const exec::ColumnBatch& batch,
                const std::vector<uint32_t>& in,

@@ -484,6 +484,13 @@ TEST_F(ExecutorParityTest, EveryAccessPathMatchesFullScan) {
       "SELECT fid FROM orders WHERE geom IN "
       "st_KNN(st_makePoint(116.40, 39.90), 25)",
       "knn");
+  // The expansion answers only the k-NN conjunct; the box and the window
+  // filter its k rows.
+  ExpectPathMatchesFullScan(std::string("SELECT fid FROM orders WHERE geom IN "
+                                        "st_KNN(st_makePoint(116.40, 39.90), "
+                                        "25) AND geom WITHIN ") +
+                                kBox + " AND" + window,
+                            "knn");
   ExpectPathMatchesFullScan(
       "SELECT fid FROM orders WHERE city >= 'city1' AND city < 'city3'",
       "secondary_index");
@@ -496,6 +503,52 @@ TEST_F(ExecutorParityTest, EveryAccessPathMatchesFullScan) {
       "index_intersection");
   ExpectPathMatchesFullScan("SELECT fid FROM orders WHERE fid = 'order_0007'",
                             "full_scan");
+}
+
+// Comparisons on the time column fold into one window that drives the
+// Z2T index, whatever their form.
+TEST_F(ExecutorParityTest, TimeComparisonsRunOnTheTemporalIndex) {
+  const std::string lo = Millis("2018-10-10");
+  const std::string hi = Millis("2018-10-20");
+  const std::string windows[] = {
+      "time >= " + lo + " AND time <= " + hi,
+      "time > " + lo + " AND time < " + hi,
+      "'2018-10-10' <= time AND time <= '2018-10-10 12:00:00'",
+      "time < " + lo,
+      "time >= " + hi,
+      "time BETWEEN " + lo + " AND " + hi + " AND time < '2018-10-15'",
+      "time > " + hi + " AND time < " + lo,             // empty window
+      "time >= '2018-10-03' AND time < '2018-11-27'",   // many periods
+      "time = '2018-10-12' AND city != 'city0'",
+  };
+  for (const std::string& where : windows) {
+    ExpectPathMatchesFullScan("SELECT fid, time FROM orders WHERE " + where,
+                              "temporal_range");
+  }
+  // Beside a box a closed window joins it; a one-sided one filters.
+  ExpectPathMatchesFullScan(std::string("SELECT fid FROM orders WHERE geom "
+                                        "WITHIN ") +
+                                kBox + " AND time >= " + lo +
+                                " AND time <= " + hi,
+                            "st_range");
+  ExpectPathMatchesFullScan(std::string("SELECT fid FROM orders WHERE geom "
+                                        "WITHIN ") +
+                                kBox + " AND time > " + lo,
+                            "spatial_range");
+}
+
+// A ready secondary index on the time column keeps the comparisons.
+TEST_F(ExecutorParityTest, TimeSecondaryIndexKeepsComparisons) {
+  JustQL ql(engine_.get());
+  auto created = ql.Execute("tester", "CREATE INDEX idx_time ON orders (time)");
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  const std::string lo = Millis("2018-10-10");
+  const std::string hi = Millis("2018-10-20");
+  ExpectPathMatchesFullScan(
+      "SELECT fid FROM orders WHERE time >= " + lo + " AND time <= " + hi,
+      "secondary_index");
+  ExpectPathMatchesFullScan("SELECT fid FROM orders WHERE time > " + hi,
+                            "secondary_index");
 }
 
 TEST_F(ExecutorParityTest, DemotedIntersectionMatchesFullScan) {

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/engine.h"
@@ -190,6 +191,53 @@ TEST_F(ExplainAnalyzeTest, FullScanSelectCountsEveryRowScanned) {
   EXPECT_EQ(delta("just_query_rows_scanned_total"), 500u);
   EXPECT_EQ(delta("just_query_rows_matched_total"), 500u);
   EXPECT_GT(delta("just_query_key_ranges_total"), 0u);
+}
+
+// `time >= a AND time <= b` drives the Z2T index like BETWEEN: a one-hour
+// window over 31 days of orders scans one key range per shard, covering
+// only the window's day (one period) — 1/31 of the table.
+TEST_F(ExplainAnalyzeTest, TimeComparisonsScanOnePeriodPerShard) {
+  meta::TableMeta table;
+  table.user = "u";
+  table.name = "month";
+  table.columns = {
+      {"fid", exec::DataType::kString, true, "", ""},
+      {"time", exec::DataType::kTimestamp, false, "", ""},
+      {"geom", exec::DataType::kGeometry, false, "", ""},
+  };
+  table.indexes = {{curve::IndexType::kZ2, kMillisPerDay},
+                   {curve::IndexType::kZ2T, kMillisPerDay}};
+  ASSERT_TRUE(engine_->CreateTable(table).ok());
+  const TimestampMs base = ParseTimestamp("2018-10-01").value();
+  constexpr int kPerDay = 24;
+  Rng rng(31);
+  std::vector<exec::Row> rows;
+  for (int i = 0; i < 31 * kPerDay; ++i) {
+    rows.push_back({exec::Value::String("m" + std::to_string(i)),
+                    exec::Value::Timestamp(base + i * kMillisPerHour),
+                    exec::Value::GeometryVal(geo::Geometry::MakePoint(
+                        {116.0 + rng.NextDouble(), 39.5 + rng.NextDouble()}))});
+  }
+  ASSERT_TRUE(engine_->InsertBatch("u", "month", rows).ok());
+  ASSERT_TRUE(engine_->Finalize().ok());
+
+  auto& registry = obs::Registry::Global();
+  obs::RegistrySnapshot before = registry.GetSnapshot();
+  auto r = Run(
+      "EXPLAIN ANALYZE SELECT fid FROM month WHERE "
+      "time >= '2018-10-12 10:00:00' AND time <= '2018-10-12 11:00:00'");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  obs::RegistrySnapshot after = registry.GetSnapshot();
+  auto delta = [&](const char* name) {
+    return after.counter(name) - before.counter(name);
+  };
+  const std::string& msg = r->message;
+  EXPECT_NE(msg.find("Scan month access=temporal_range"), std::string::npos)
+      << msg;
+  EXPECT_EQ(r->frame.num_rows(), 2u);  // 10:00 and 11:00
+  EXPECT_EQ(delta("just_query_key_ranges_total"), 4u);  // num_shards
+  EXPECT_EQ(delta("just_query_rows_scanned_total"),
+            static_cast<uint64_t>(kPerDay));  // 1/31 of the table
 }
 
 // The columnar path's EXPLAIN surface: per-stage batch counts plus the

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <tuple>
@@ -273,6 +275,126 @@ INSTANTIATE_TEST_SUITE_P(
                                          curve::IndexType::kZ2T,
                                          curve::IndexType::kXz2T),
                        ::testing::Values(11ull, 20140310ull)),
+    [](const ::testing::TestParamInfo<std::tuple<curve::IndexType, uint64_t>>&
+           info) {
+      return curve::IndexTypeName(std::get<0>(info.param)) + "_seed" +
+             std::to_string(std::get<1>(info.param));
+    });
+
+// --- Index strategies: planned ranges are sorted and disjoint ---
+//
+// The scan layer decodes every key of every range once, with no dedupe set:
+// that is only right if no two ranges overlap. Windows here include open
+// ends (INT64_MIN / INT64_MAX), far dates, empty ones and whole-earth boxes;
+// a record inside the box and window must still be covered.
+
+class RangeShapeTest
+    : public ::testing::TestWithParam<std::tuple<curve::IndexType, uint64_t>> {
+};
+
+TEST_P(RangeShapeTest, QueryRangesAreSortedDisjointAndCovering) {
+  auto [type, seed] = GetParam();
+  curve::IndexOptions options;
+  options.num_shards = 3;
+  auto strategy = curve::IndexStrategy::Create(type, options);
+  Rng rng(seed);
+  const TimestampMs day = ParseTimestamp("2014-03-10").value();
+  // Far dates: periods beyond the 4-byte period field.
+  constexpr TimestampMs kFar = 900000000000000000;
+  for (int trial = 0; trial < 120; ++trial) {
+    geo::Mbr qbox = geo::Mbr::World();
+    if (trial % 4 != 0) {
+      double lng0 = rng.Uniform(-170.0, 165.0);
+      double lat0 = rng.Uniform(-80.0, 75.0);
+      qbox = geo::Mbr::Of(lng0, lat0, lng0 + rng.Uniform(0.05, 4.0),
+                          lat0 + rng.Uniform(0.05, 4.0));
+    }
+    TimestampMs t0 =
+        day + static_cast<TimestampMs>(rng.Uniform(3 * kMillisPerDay));
+    TimestampMs t1 =
+        t0 + static_cast<TimestampMs>(rng.Uniform(4 * kMillisPerDay));
+    switch (trial % 7) {
+      case 1:
+        t0 = INT64_MIN;
+        break;
+      case 2:
+        t1 = INT64_MAX;
+        break;
+      case 3:
+        t0 = INT64_MIN;
+        t1 = INT64_MAX;
+        break;
+      case 4:
+        t0 = kFar;
+        t1 = kFar + t1 - day;
+        break;
+      case 5:
+        t1 = -kFar;
+        t0 = -kFar - 4 * kMillisPerDay;
+        break;
+      default:
+        break;
+    }
+    auto ranges = strategy->QueryRanges(qbox, t0, t1);
+    for (size_t i = 0; i < ranges.size(); ++i) {
+      ASSERT_LT(ranges[i].start, ranges[i].end)
+          << curve::IndexTypeName(type) << " trial " << trial;
+      if (i > 0) {
+        ASSERT_LE(ranges[i - 1].end, ranges[i].start)
+            << curve::IndexTypeName(type) << " trial " << trial
+            << ": range " << i << " overlaps or precedes its predecessor";
+      }
+    }
+
+    // Recall still holds with open ends and whole-earth boxes.
+    double cx = rng.Uniform(qbox.lng_min, qbox.lng_max);
+    double cy = rng.Uniform(qbox.lat_min, qbox.lat_max);
+    curve::RecordRef ref;
+    ref.mbr = geo::Mbr::Of(cx, cy, cx, cy);
+    const TimestampMs lo = t0 == INT64_MIN ? day - 5 * kMillisPerDay : t0;
+    const TimestampMs hi = t1 == INT64_MAX ? day + 8 * kMillisPerDay : t1;
+    ref.t_min = ref.t_max =
+        lo + static_cast<TimestampMs>(rng.Uniform(hi - lo + 1));
+    ref.fid = "f" + std::to_string(trial);
+    std::string key = strategy->EncodeKey(ref);
+    bool covered = false;
+    for (const auto& range : ranges) {
+      if (key >= range.start && key < range.end) covered = true;
+    }
+    EXPECT_TRUE(covered) << curve::IndexTypeName(type) << " trial " << trial;
+  }
+  // A far record's period saturates to the field's first or last; a
+  // window past the field must still cover it.
+  struct FarCase {
+    TimestampMs t0, t1, at;
+  };
+  for (const FarCase& c : {FarCase{kFar, INT64_MAX, kFar + kFar / 18},
+                           FarCase{INT64_MIN, -kFar, -kFar - kFar / 18}}) {
+    curve::RecordRef ref;
+    ref.mbr = geo::Mbr::Of(116.4, 39.9, 116.4, 39.9);
+    ref.t_min = ref.t_max = c.at;
+    ref.fid = "far";
+    std::string key = strategy->EncodeKey(ref);
+    bool covered = false;
+    for (const auto& range : strategy->QueryRanges(ref.mbr, c.t0, c.t1)) {
+      if (key >= range.start && key < range.end) covered = true;
+    }
+    EXPECT_TRUE(covered) << curve::IndexTypeName(type) << " at " << c.at;
+  }
+  // An empty window plans nothing.
+  EXPECT_TRUE(strategy->QueryRanges(geo::Mbr::World(), day, day - 1).empty() ||
+              !curve::IsSpatioTemporal(type));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllTypes, RangeShapeTest,
+    ::testing::Combine(::testing::Values(curve::IndexType::kZ2,
+                                         curve::IndexType::kZ3,
+                                         curve::IndexType::kXz2,
+                                         curve::IndexType::kXz3,
+                                         curve::IndexType::kZ2T,
+                                         curve::IndexType::kXz2T),
+                       ::testing::Values(7ull, 20181001ull)),
     [](const ::testing::TestParamInfo<std::tuple<curve::IndexType, uint64_t>>&
            info) {
       return curve::IndexTypeName(std::get<0>(info.param)) + "_seed" +

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "sql/analyzer.h"
 #include "sql/executor.h"
 #include "sql/justql.h"
@@ -155,6 +156,81 @@ TEST_F(SqlEdgeTest, TimestampComparedWithDateStringByValue) {
   ASSERT_FALSE(bad.ok());
   EXPECT_NE(bad.status().ToString().find("'yesterday'"), std::string::npos)
       << bad.status().ToString();
+}
+
+// Inside an OR the comparison has no specialized kernel and runs through
+// the interpreted fallback, which must also compare a date string by value;
+// a NULL time satisfies no ordering comparison on either path.
+TEST_F(SqlEdgeTest, FallbackComparesDateStringByValue) {
+  ASSERT_TRUE(Run("INSERT INTO t VALUES ('c', 3, NULL, "
+                  "st_makePoint(116.4, 39.9))")
+                  .ok());
+  auto fids = [&](const std::string& where) {
+    auto r = Run("SELECT fid FROM t WHERE " + where);
+    EXPECT_TRUE(r.ok()) << where << " -> " << r.status().ToString();
+    std::vector<std::string> out;
+    if (!r.ok()) return out;
+    for (const auto& row : r->frame.rows()) out.push_back(row[0].ToString());
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  using Fids = std::vector<std::string>;
+  EXPECT_EQ(fids("time < '2018-10-02 00:00:00' OR n > 5"), Fids{"a"});
+  EXPECT_EQ(fids("'2018-10-02' <= time OR n > 5"), Fids{"b"});
+  EXPECT_EQ(fids("time = '2018-10-02 00:00:00' OR n > 5"), Fids{"b"});
+  EXPECT_EQ(fids("time < '2018-10-02 00:00:00'"), Fids{"a"});
+  EXPECT_EQ(fids("time BETWEEN '2018-09-01' AND '2018-10-01' OR n > 5"),
+            Fids{"a"});
+  // Only a literal reads as a date: a string column compares by type on
+  // both paths.
+  for (const char* cmp : {"time < fid", "time > fid", "fid <= time"}) {
+    EXPECT_EQ(fids(std::string(cmp) + " OR n > 5"), fids(cmp)) << cmp;
+  }
+}
+
+// A NULL time matches no window, whether BETWEEN or comparisons build it,
+// and whichever side of the epoch (where a NULL time's key lands) it spans.
+TEST_F(SqlEdgeTest, NullTimeNeverMatchesAWindow) {
+  ASSERT_TRUE(Run("INSERT INTO t VALUES ('c', 3, NULL, "
+                  "st_makePoint(116.4, 39.9))")
+                  .ok());
+  for (const char* where :
+       {"time BETWEEN -1000 AND 1000", "time >= -1000 AND time <= 1000",
+        "time < 1000", "time <= '2018-10-01 00:00:00' AND n = 3",
+        "time >= -1000"}) {
+    auto r = Run(std::string("SELECT fid FROM t WHERE ") + where);
+    ASSERT_TRUE(r.ok()) << where << " -> " << r.status().ToString();
+    for (const auto& row : r->frame.rows()) {
+      EXPECT_NE(row[0].ToString(), "c") << where;
+    }
+  }
+}
+
+// A table whose only curve index is time-aware answers a spatial query
+// through that index with an open window: one range per shard, no period
+// enumeration.
+TEST_F(SqlEdgeTest, SpatialQueryOnTimeAwareOnlyTable) {
+  ASSERT_TRUE(Run("CREATE TABLE z (fid string:primary key, time date, "
+                  "geom point) USERDATA {'geomesa.indices.enabled':'z2t'}")
+                  .ok());
+  ASSERT_TRUE(Run("INSERT INTO z VALUES "
+                  "('p', '2018-10-01 00:00:00', st_makePoint(116.4, 39.9)), "
+                  "('q', '1969-12-31 12:00:00', st_makePoint(116.41, 39.91)), "
+                  "('r', '2018-10-02 00:00:00', st_makePoint(10.0, 10.0))")
+                  .ok());
+  auto key_ranges = [] {
+    return obs::Registry::Global().CounterValue("just_query_key_ranges_total");
+  };
+  const uint64_t ranges_before = key_ranges();
+  auto r = Run(
+      "SELECT fid FROM z WHERE geom WITHIN "
+      "st_makeMBR(116.0, 39.0, 117.0, 40.0)");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(key_ranges() - ranges_before, 2u);  // num_shards
+  std::vector<std::string> got;
+  for (const auto& row : r->frame.rows()) got.push_back(row[0].ToString());
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, (std::vector<std::string>{"p", "q"}));
 }
 
 TEST_F(SqlEdgeTest, DivisionByZeroIsAnError) {
