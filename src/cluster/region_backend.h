@@ -33,7 +33,9 @@ struct BackendStats {
 ///    returns false to stop early. Implementations may page internally
 ///    (the socket backend does, via the wire protocol's resume cursor);
 ///    on failure, rows may already have been delivered — callers that
-///    retry must buffer per attempt, which RegionCluster does.
+///    retry must drop them: RegionCluster::Scan buffers each batch per
+///    attempt, and ParallelScan's consumer drops them at the retry's
+///    `begin`.
 class RegionBackend {
  public:
   virtual ~RegionBackend() = default;

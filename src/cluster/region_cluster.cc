@@ -162,9 +162,8 @@ Status RegionCluster::IngestBatch(const std::string& tenant,
                        });
 }
 
-Result<std::vector<RegionCluster::RangeResult>> RegionCluster::ParallelScan(
-    const std::vector<curve::KeyRange>& ranges) const {
-  std::vector<RangeResult> results(ranges.size());
+Status RegionCluster::ParallelScan(const std::vector<curve::KeyRange>& ranges,
+                                   const RangeConsumer& consumer) const {
   std::atomic<bool> failed{false};
   Status first_error;
   std::mutex error_mu;
@@ -181,9 +180,7 @@ Result<std::vector<RegionCluster::RangeResult>> RegionCluster::ParallelScan(
   obs::TraceSpan* parent_span = obs::CurrentSpan();
   DefaultPool().ParallelFor(ranges.size(), [&](size_t i) {
     obs::SpanScope scope(parent_span);
-    if (failed.load(std::memory_order_relaxed)) return;
     const curve::KeyRange& range = ranges[i];
-    results[i].contained = range.contained;
     // Routing is first_byte % num_servers — NOT a contiguous partition: a
     // range spanning multiple shard bytes can land on every server (e.g.
     // bytes 0x04..0x06 with 5 servers hit servers 4, 0 and 1, which the old
@@ -197,26 +194,41 @@ Result<std::vector<RegionCluster::RangeResult>> RegionCluster::ParallelScan(
       first = last = ServerFor(range.start);
     }
     for (int server = first; server <= last; ++server) {
-      // Rows are buffered per attempt: a retry after a mid-scan failure
-      // restarts the server's range cleanly instead of duplicating rows.
-      std::vector<Row> rows;
-      Status st = WithRetry([&] {
-        rows.clear();
-        return servers_[server]->Scan(
-            range.start, range.end,
-            [&](std::string_view key, std::string_view value) {
-              rows.push_back(Row{std::string(key), std::string(value)});
-              return true;
+      if (failed.load(std::memory_order_relaxed)) return;
+      // One part's attempt state. The callbacks capture only a reference to
+      // it, which fits std::function's inline storage: no allocation per
+      // part. A consumer error stops the server's scan (the callback
+      // returns false, which the backend reports as success) and is not
+      // retried.
+      struct Part {
+        const RangeConsumer& consumer;
+        size_t i;
+        RegionBackend* backend;
+        const curve::KeyRange& range;
+        size_t rows = 0;
+        Status consumer_st = Status::OK();
+      } part{consumer, i, servers_[server].get(), range};
+      Status st = WithRetry([&part] {
+        part.consumer.begin(part.i);
+        part.rows = 0;
+        part.consumer_st = Status::OK();
+        return part.backend->Scan(
+            part.range.start, part.range.end,
+            [&part](std::string_view key, std::string_view value) {
+              ++part.rows;
+              part.consumer_st = part.consumer.row(part.i, key, value);
+              return part.consumer_st.ok();
             });
       });
+      if (st.ok()) st = part.consumer_st;
+      if (st.ok()) st = consumer.commit(i);
       if (!st.ok()) {
         failed.store(true, std::memory_order_relaxed);
         std::lock_guard<std::mutex> lock(error_mu);
         if (first_error.ok()) first_error = st;
         return;
       }
-      rows_fetched->Add(rows.size());
-      for (auto& row : rows) results[i].rows.push_back(std::move(row));
+      if (part.rows > 0) rows_fetched->Add(part.rows);
     }
   });
   scan_hist->Record(static_cast<uint64_t>(
@@ -227,18 +239,18 @@ Result<std::vector<RegionCluster::RangeResult>> RegionCluster::ParallelScan(
     return first_error.ok() ? Status::Internal("parallel scan failed")
                             : first_error;
   }
-  return results;
+  return Status::OK();
 }
 
 Status RegionCluster::Scan(
     std::string_view start, std::string_view end,
     const std::function<bool(std::string_view, std::string_view)>& fn) const {
-  // Keys are partitioned by shard byte, so a full-order merge across servers
-  // is only needed when the range spans shards; scan shard by shard (the
-  // global order across shard bytes is preserved because routing is by the
-  // first byte and servers see disjoint byte prefixes... only when
-  // num_servers >= 256; in general this yields per-shard ordered output,
-  // which all internal callers accept).
+  // Servers are scanned one after another, each in key order. Routing is
+  // first byte % num_servers, so one server holds several interleaved shard
+  // bytes: the output is sorted when [start, end) lies within one shard
+  // byte (every range the index strategies plan), and a wider range comes
+  // out sorted per server, not globally — no caller relies on the order
+  // across servers.
   obs::Counter* rows_fetched = RowsFetchedCounter();
   const size_t batch_rows = std::max<size_t>(1, options_.scan_batch_rows);
   for (const auto& server : servers_) {
@@ -250,24 +262,23 @@ Status RegionCluster::Scan(
     // delivered, so a retried batch restarts cleanly.
     std::string cursor(start);
     for (;;) {
-      std::vector<Row> rows;
+      std::vector<std::pair<std::string, std::string>> rows;
       Status st = WithRetry([&] {
         rows.clear();
         return server->Scan(cursor, end,
                             [&](std::string_view k, std::string_view v) {
-                              rows.push_back(Row{std::string(k),
-                                                 std::string(v)});
+                              rows.emplace_back(k, v);
                               return rows.size() < batch_rows;
                             });
       });
       JUST_RETURN_NOT_OK(st);
       rows_fetched->Add(rows.size());
-      for (const auto& row : rows) {
-        if (!fn(row.key, row.value)) return Status::OK();
+      for (const auto& [key, value] : rows) {
+        if (!fn(key, value)) return Status::OK();
       }
       if (rows.size() < batch_rows) break;  // server range exhausted
       // Next batch resumes just past the last delivered key.
-      cursor = rows.back().key + '\0';
+      cursor = rows.back().first + '\0';
     }
   }
   return Status::OK();

@@ -73,24 +73,35 @@ class RegionCluster {
   /// plain WriteBatch. The streaming ingest path (INSERT STREAM).
   Status IngestBatch(const std::string& tenant, std::vector<kv::WriteOp> ops);
 
-  /// One row returned by a scan.
-  struct Row {
-    std::string key;
-    std::string value;
+  /// Receives ParallelScan's KV pairs on the pool worker that scans each
+  /// range: calls for one range never overlap, calls for different ranges
+  /// run concurrently. A range confined to one shard byte is one *part* (its
+  /// server's scan); a range spanning shard bytes has one part per server,
+  /// delivered in server order.
+  struct RangeConsumer {
+    /// Before every attempt at one part of range `i`, retries included: the
+    /// consumer drops whatever an earlier, failed attempt at this part
+    /// delivered, so a retried part never duplicates rows.
+    std::function<void(size_t i)> begin;
+    /// One KV pair of range `i`; the views are valid only during the call.
+    /// A non-OK status fails the scan and is not retried.
+    std::function<Status(size_t i, std::string_view key,
+                         std::string_view value)>
+        row;
+    /// After an attempt at a part of range `i` succeeded: the rows since the
+    /// matching `begin` are final. A non-OK status fails the scan.
+    std::function<Status(size_t i)> commit;
   };
 
-  /// Result of scanning one key range.
-  struct RangeResult {
-    std::vector<Row> rows;
-    bool contained = false;  ///< from the originating KeyRange
-  };
+  /// Runs every key range as a SCAN on its owning server(s), in parallel on
+  /// the pool, and streams each range's KV pairs to `consumer` on the
+  /// worker that scans it; nothing is buffered here. On error the consumer
+  /// may have seen any subset of the ranges.
+  Status ParallelScan(const std::vector<curve::KeyRange>& ranges,
+                      const RangeConsumer& consumer) const;
 
-  /// Runs every key range as a SCAN on its owning server, in parallel.
-  Result<std::vector<RangeResult>> ParallelScan(
-      const std::vector<curve::KeyRange>& ranges) const;
-
-  /// Sequential scan of a single [start, end) range, merged across servers
-  /// that may hold keys in it.
+  /// Sequential scan of a single [start, end) range on every server in
+  /// turn, streamed in retry-safe batches; sorted within one shard byte.
   Status Scan(std::string_view start, std::string_view end,
               const std::function<bool(std::string_view, std::string_view)>&
                   fn) const;
@@ -123,8 +134,9 @@ class RegionCluster {
 
   /// Runs `op` with bounded exponential-backoff retry on transient errors
   /// (options_.max_retries / retry_backoff_ms). `op` must be idempotent and
-  /// side-effect-free until it succeeds — callers buffer scan rows per
-  /// attempt so a retried scan never duplicates rows downstream.
+  /// side-effect-free until it succeeds — Scan buffers each batch per
+  /// attempt and ParallelScan calls RangeConsumer::begin per attempt, so a
+  /// retried scan never duplicates rows downstream.
   Status WithRetry(const std::function<Status()>& op) const;
 
   ClusterOptions options_;

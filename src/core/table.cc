@@ -1,6 +1,8 @@
 #include "core/table.h"
 
 #include <algorithm>
+#include <chrono>
+#include <memory>
 #include <queue>
 #include <unordered_set>
 
@@ -108,6 +110,13 @@ std::string EncodeOrderedAttrKeyPart(const exec::Value& value) {
       return out;
     }
   }
+}
+
+/// Decode-and-refine time of one unbudgeted scan, summed over its ranges.
+obs::Histogram* ScanDecodeHistogram() {
+  static obs::Histogram* h =
+      obs::Registry::Global().GetHistogram("just_scan_decode_us");
+  return h;
 }
 
 obs::Counter* IdxLookupsCounter() {
@@ -275,76 +284,149 @@ Result<exec::BatchVector> StTable::ScanRangesToBatches(
     const ScanBudget* budget, int fid_offset,
     const std::unordered_set<std::string>* skip_fids) const {
   // The ranges never overlap (every strategy emits sorted, disjoint ranges)
-  // and the cluster rescans a range whole on retry, so no key repeats.
+  // and a retried scan never re-delivers a row, so no key repeats.
   auto schema = meta_.MakeSchema();
   BatchRowDecoder decoder(meta_);
+  // Rows already delivered by an earlier k-NN expansion area. The set is
+  // only read during a scan: KnnQueryBatch grows it after the scan returns.
+  auto skipped = [&](std::string_view key) {
+    return skip_fids != nullptr &&
+           key.size() > static_cast<size_t>(fid_offset) &&
+           skip_fids->count(std::string(key.substr(fid_offset))) != 0;
+  };
   exec::BatchVector batches;
-  exec::ColumnBatch current(schema);
+  size_t ranges_run = 0;
   size_t scanned = 0;
   size_t matched = 0;
   size_t bytes = 0;
-  // Budgeted scans flush (and re-check the budget) on smaller batches so a
-  // tiny LIMIT stops within ~one streaming scan batch instead of 4096 rows.
-  const size_t batch_cap =
-      budget != nullptr
-          ? std::min<size_t>(exec::kBatchRows,
-                             std::max<size_t>(budget->limit, 512))
-          : exec::kBatchRows;
-  Status inner;  // first error raised inside a scan callback
 
-  auto flush = [&]() -> Status {
-    if (current.num_rows() == 0) return Status::OK();
-    if (refine) refine(&current);
-    if (budget != nullptr && budget->residual) {
-      JUST_RETURN_NOT_OK(budget->residual(&current));
+  if (budget == nullptr) {
+    // Every range is decoded and refined on the pool worker that scans it,
+    // into batches of its own. The worker appends the values of the server
+    // part it is scanning back to back into the range's buffer (no
+    // allocation per row) and decodes them in one timed pass per kBatchRows
+    // rows, so a retried part only drops its buffer and its batches. A
+    // range's output is created on its first row: most planned ranges are
+    // empty, and those allocate nothing.
+    struct RangeOutput {
+      exec::BatchVector batches;  ///< committed parts', then the open part's
+      size_t committed_batches = 0;
+      size_t scanned = 0, matched = 0, bytes = 0;  ///< committed parts
+      size_t part_scanned = 0, part_matched = 0, part_bytes = 0;
+      std::string values;              ///< the open part's undecoded values
+      std::vector<size_t> value_ends;  ///< end offset of each in `values`
+      uint64_t decode_ns = 0;
+    };
+    std::vector<std::unique_ptr<RangeOutput>> outputs(ranges.size());
+    auto decode_buffered = [&](RangeOutput& out) -> Status {
+      if (out.value_ends.empty()) return Status::OK();
+      const auto start = std::chrono::steady_clock::now();
+      exec::ColumnBatch batch(schema);
+      size_t begin = 0;
+      for (size_t end : out.value_ends) {
+        JUST_RETURN_NOT_OK(decoder.DecodeInto(
+            std::string_view(out.values).substr(begin, end - begin), &batch));
+        begin = end;
+      }
+      out.values.clear();
+      out.value_ends.clear();
+      if (refine) refine(&batch);
+      out.part_matched += batch.num_active();
+      if (batch.num_active() > 0) out.batches.push_back(std::move(batch));
+      const auto ns = static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - start)
+              .count());
+      out.decode_ns += ns;
+      obs::TraceDecodeNs(ns);
+      return Status::OK();
+    };
+    cluster::RegionCluster::RangeConsumer consumer;
+    consumer.begin = [&](size_t i) {
+      if (outputs[i] == nullptr) return;
+      RangeOutput& out = *outputs[i];
+      out.batches.resize(out.committed_batches);
+      out.part_scanned = out.part_matched = out.part_bytes = 0;
+      out.values.clear();
+      out.value_ends.clear();
+    };
+    consumer.row = [&](size_t i, std::string_view key,
+                       std::string_view value) -> Status {
+      if (outputs[i] == nullptr) outputs[i] = std::make_unique<RangeOutput>();
+      RangeOutput& out = *outputs[i];
+      ++out.part_scanned;
+      out.part_bytes += key.size() + value.size();
+      if (skipped(key)) return Status::OK();
+      if (out.value_ends.size() >= exec::kBatchRows) {
+        JUST_RETURN_NOT_OK(decode_buffered(out));
+      }
+      out.values.append(value);
+      out.value_ends.push_back(out.values.size());
+      return Status::OK();
+    };
+    consumer.commit = [&](size_t i) -> Status {
+      if (outputs[i] == nullptr) return Status::OK();
+      RangeOutput& out = *outputs[i];
+      JUST_RETURN_NOT_OK(decode_buffered(out));
+      out.scanned += out.part_scanned;
+      out.matched += out.part_matched;
+      out.bytes += out.part_bytes;
+      out.committed_batches = out.batches.size();
+      out.values = std::string();
+      out.value_ends = std::vector<size_t>();
+      return Status::OK();
+    };
+    JUST_RETURN_NOT_OK(cluster_->ParallelScan(ranges, consumer));
+    ranges_run = ranges.size();
+    uint64_t decode_ns = 0;
+    for (const std::unique_ptr<RangeOutput>& out : outputs) {
+      if (out == nullptr) continue;
+      scanned += out->scanned;
+      matched += out->matched;
+      bytes += out->bytes;
+      decode_ns += out->decode_ns;
+      for (exec::ColumnBatch& batch : out->batches) {
+        batches.push_back(std::move(batch));
+      }
     }
-    matched += current.num_active();
-    batches.push_back(std::move(current));
-    current = exec::ColumnBatch(schema);
-    return Status::OK();
-  };
-
-  // Returns false to stop the scan (budget met or error; `inner` tells).
-  auto consume = [&](std::string_view key, std::string_view value) -> bool {
-    ++scanned;
-    bytes += key.size() + value.size();
-    if (skip_fids != nullptr &&
-        key.size() > static_cast<size_t>(fid_offset) &&
-        skip_fids->count(std::string(key.substr(fid_offset))) != 0) {
-      return true;  // already delivered by an earlier expansion area
-    }
-    if (current.num_rows() >= batch_cap) {
-      inner = flush();
-      if (!inner.ok()) return false;
-      if (budget != nullptr && matched >= budget->limit) return false;
-    }
-    inner = decoder.DecodeInto(value, &current);
-    return inner.ok();
-  };
-
-  size_t ranges_run = 0;
-  if (budget != nullptr) {
+    ScanDecodeHistogram()->Record(decode_ns / 1000);
+  } else {
+    // Budgeted (LIMIT): ranges run sequentially with streaming early stop,
+    // flushing (and re-checking the budget) on batches small enough that a
+    // tiny LIMIT stops within ~one streaming scan batch.
+    const size_t batch_cap = std::min<size_t>(
+        exec::kBatchRows, std::max<size_t>(budget->limit, 512));
+    exec::ColumnBatch current(schema);
+    Status inner;  // first error raised inside a scan callback
+    auto flush = [&]() -> Status {
+      if (current.num_rows() == 0) return Status::OK();
+      if (refine) refine(&current);
+      if (budget->residual) JUST_RETURN_NOT_OK(budget->residual(&current));
+      matched += current.num_active();
+      batches.push_back(std::move(current));
+      current = exec::ColumnBatch(schema);
+      return Status::OK();
+    };
+    // Returns false to stop the scan (budget met or error; `inner` tells).
+    auto consume = [&](std::string_view key, std::string_view value) -> bool {
+      ++scanned;
+      bytes += key.size() + value.size();
+      if (skipped(key)) return true;
+      if (current.num_rows() >= batch_cap) {
+        inner = flush();
+        if (!inner.ok() || matched >= budget->limit) return false;
+      }
+      inner = decoder.DecodeInto(value, &current);
+      return inner.ok();
+    };
     for (const curve::KeyRange& range : ranges) {
       if (matched >= budget->limit) break;
       ++ranges_run;
-      JUST_RETURN_NOT_OK(cluster_->Scan(
-          range.start, range.end,
-          [&](std::string_view k, std::string_view v) {
-            return consume(k, v);
-          }));
+      JUST_RETURN_NOT_OK(cluster_->Scan(range.start, range.end, consume));
       JUST_RETURN_NOT_OK(inner);
     }
-  } else {
-    ranges_run = ranges.size();
-    JUST_ASSIGN_OR_RETURN(auto results, cluster_->ParallelScan(ranges));
-    for (const auto& range_result : results) {
-      for (const auto& kv : range_result.rows) {
-        if (!consume(kv.key, kv.value)) break;
-      }
-      JUST_RETURN_NOT_OK(inner);
-    }
+    JUST_RETURN_NOT_OK(flush());
   }
-  JUST_RETURN_NOT_OK(flush());
   if (stats != nullptr) {
     stats->key_ranges += ranges_run;
     stats->rows_scanned += scanned;

@@ -227,11 +227,14 @@ class StTable {
       const std::unordered_set<std::string>* skip_fids,
       const ScanBudget* budget = nullptr) const;
 
-  /// The shared scan core: runs `ranges` (ParallelScan normally; sequential
-  /// streaming RegionCluster::Scan with early-stop when `budget` is set),
-  /// decodes KV pairs into batches, applies `refine` (selection shrink) and
-  /// then the budget's residual per batch, and accounts stats and the
-  /// just_query_* counters.
+  /// The shared scan core: decodes KV pairs into batches, applies `refine`
+  /// (selection shrink) and accounts stats and the just_query_* counters.
+  /// Without `budget`, RegionCluster::ParallelScan runs the ranges and each
+  /// range is decoded and refined on the pool worker that scans it, into
+  /// its own batches, returned in range order. With `budget`, ranges run
+  /// through the sequential streaming RegionCluster::Scan with early stop,
+  /// and the budget's residual runs after `refine` on every batch.
+  /// `refine` must be safe to call concurrently on different batches.
   Result<exec::BatchVector> ScanRangesToBatches(
       const std::vector<curve::KeyRange>& ranges,
       const std::function<void(exec::ColumnBatch*)>& refine,

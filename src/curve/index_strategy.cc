@@ -13,6 +13,11 @@ constexpr uint32_t kPeriodBias = 1u << 31;
 // Periods the 4-byte period field can hold (AppendPeriod biases by 2^31).
 constexpr int64_t kMinPeriod = -static_cast<int64_t>(kPeriodBias);
 constexpr int64_t kMaxPeriod = static_cast<int64_t>(kPeriodBias) - 1;
+// Most key ranges a box with a closed window may plan, bounding periods x
+// shards x max_ranges_per_period. A day-long window plans at most two
+// periods (three with XZ2T's leading one); past the cap the query scans
+// its per-shard period spans and refinement applies the box.
+constexpr int64_t kMaxPlannedRanges = int64_t{1} << 16;
 
 // FNV-1a over the fid; stable across runs so shards are deterministic.
 uint64_t HashFid(const std::string& fid) {
@@ -117,11 +122,17 @@ class TimeAwareStrategy : public IndexStrategy {
     const int64_t first = PeriodOf(t_min) - LeadingPeriods();
     const int64_t last = PeriodOf(t_max);
     // A window reaching past the period field (an open end, INT64_MIN /
-    // INT64_MAX, or a far date) would plan billions of periods, so it scans
-    // its period span per shard and refinement applies the box. So does a
-    // whole-earth box when time is not in the curve: one shard's keys of
-    // the qualifying periods are contiguous.
+    // INT64_MAX, or a far date) would plan billions of periods, and a long
+    // closed one more ranges than kMaxPlannedRanges, so it scans its period
+    // span per shard and refinement applies the box. So does a whole-earth
+    // box when time is not in the curve: one shard's keys of the qualifying
+    // periods are contiguous. The bound is checked before any period is
+    // decomposed, since Z3/XZ3 decompose each one.
+    const int64_t ranges_per_period =
+        int64_t{options_.num_shards} *
+        std::max(1, options_.max_ranges_per_period);
     if (first < kMinPeriod || last > kMaxPeriod ||
+        last - first + 1 > kMaxPlannedRanges / ranges_per_period ||
         (!TimeInCurve() && box.Contains(geo::Mbr::World()))) {
       for (int shard = 0; shard < options_.num_shards; ++shard) {
         out.push_back(PeriodSpan(shard, first, last));

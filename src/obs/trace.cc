@@ -165,6 +165,8 @@ std::string TraceSpan::ToString(int indent) const {
                 c.eval_specialized_ns.load(std::memory_order_relaxed) / 1000);
   AppendCounter(&out, "eval_interpreted_us",
                 c.eval_interpreted_ns.load(std::memory_order_relaxed) / 1000);
+  const uint64_t decode_ns = c.decode_ns.load(std::memory_order_relaxed);
+  if (decode_ns > 0) out += " decode=" + FormatMs(decode_ns) + "ms";
   out += ")\n";
   for (const TraceSpan* child : children()) {
     out += child->ToString(indent + 1);
@@ -211,6 +213,7 @@ std::string TraceSpan::ToJson() const {
       c.eval_specialized_ns.load(std::memory_order_relaxed), &fc);
   add("eval_interpreted_ns",
       c.eval_interpreted_ns.load(std::memory_order_relaxed), &fc);
+  add("decode_ns", c.decode_ns.load(std::memory_order_relaxed), &fc);
   out += "},\"children\":[";
   first = true;
   for (const TraceSpan* child : children()) {

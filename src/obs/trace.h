@@ -33,6 +33,9 @@ struct SpanCounters {
   /// number, surfaced per operator by EXPLAIN ANALYZE.
   std::atomic<uint64_t> eval_specialized_ns{0};
   std::atomic<uint64_t> eval_interpreted_ns{0};
+  /// Time the scan workers spent decoding scanned values into batches and
+  /// refining them, summed over workers (one clock pair per decoded chunk).
+  std::atomic<uint64_t> decode_ns{0};
 };
 
 /// One node of a per-query trace: a named time interval with counters,
@@ -177,6 +180,9 @@ inline void TraceEvalSpecializedNs(uint64_t ns) {
 }
 inline void TraceEvalInterpretedNs(uint64_t ns) {
   TraceAdd(&SpanCounters::eval_interpreted_ns, ns);
+}
+inline void TraceDecodeNs(uint64_t ns) {
+  TraceAdd(&SpanCounters::decode_ns, ns);
 }
 
 }  // namespace just::obs

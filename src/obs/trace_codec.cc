@@ -28,6 +28,7 @@ enum CounterId : uint32_t {
   kBatches = 11,
   kEvalSpecializedNs = 12,
   kEvalInterpretedNs = 13,
+  kDecodeNs = 14,
 };
 
 uint64_t LoadCounter(const SpanCounters& c,
@@ -57,6 +58,7 @@ uint32_t CountNonZero(const SpanCounters& c) {
   tick(LoadCounter(c, &SpanCounters::batches));
   tick(LoadCounter(c, &SpanCounters::eval_specialized_ns));
   tick(LoadCounter(c, &SpanCounters::eval_interpreted_ns));
+  tick(LoadCounter(c, &SpanCounters::decode_ns));
   return n;
 }
 
@@ -81,6 +83,7 @@ void EncodeSpan(const TraceSpan& span, std::string* out) {
              LoadCounter(c, &SpanCounters::eval_specialized_ns));
   PutCounter(out, kEvalInterpretedNs,
              LoadCounter(c, &SpanCounters::eval_interpreted_ns));
+  PutCounter(out, kDecodeNs, LoadCounter(c, &SpanCounters::decode_ns));
   auto attrs = span.attrs();
   PutVarint32(out, static_cast<uint32_t>(attrs.size()));
   for (const auto& [key, value] : attrs) {
@@ -132,6 +135,9 @@ void StoreCounter(SpanCounters* c, uint32_t id, uint64_t value) {
       break;
     case kEvalInterpretedNs:
       c->eval_interpreted_ns.store(value, std::memory_order_relaxed);
+      break;
+    case kDecodeNs:
+      c->decode_ns.store(value, std::memory_order_relaxed);
       break;
     default:
       break;  // unknown id from a newer writer: value already consumed

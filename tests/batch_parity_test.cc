@@ -505,6 +505,47 @@ TEST_F(ExecutorParityTest, EveryAccessPathMatchesFullScan) {
                             "full_scan");
 }
 
+// The scan workers decode and refine ranges concurrently, and the caller
+// assembles their batches in range order: every run of a query returns the
+// same rows in the same order, and that answer is the full-scan one.
+TEST_F(ExecutorParityTest, RepeatedRunsReturnTheSameRowsInTheSameOrder) {
+  const std::string window = " time BETWEEN " + Millis("2018-10-10") +
+                             " AND " + Millis("2018-10-20");
+  const std::pair<std::string, std::string> queries[] = {
+      {std::string("SELECT fid, city FROM orders WHERE geom WITHIN ") + kBox,
+       "spatial_range"},
+      {std::string("SELECT fid, time FROM orders WHERE geom WITHIN ") + kBox +
+           " AND" + window,
+       "st_range"},
+      {"SELECT fid FROM orders WHERE geom IN "
+       "st_KNN(st_makePoint(116.40, 39.90), 25)",
+       "knn"},
+      {std::string("SELECT fid, city FROM orders WHERE city = 'city1' AND "
+                   "geom WITHIN ") +
+           kBox,
+       "index_intersection"},
+  };
+  JustQL ql(engine_.get());
+  for (const auto& [sql, label] : queries) {
+    ExpectPathMatchesFullScan(sql, label);
+    std::vector<std::string> first;
+    for (int run = 0; run < 20; ++run) {
+      auto result = ql.Execute("tester", sql);
+      ASSERT_TRUE(result.ok()) << sql << " -> " << result.status().ToString();
+      std::vector<std::string> rows;
+      for (const exec::Row& row : result->frame.rows()) {
+        rows.push_back(RowKey(row));
+      }
+      if (run == 0) {
+        ASSERT_FALSE(rows.empty()) << sql;
+        first = std::move(rows);
+      } else {
+        ASSERT_EQ(rows, first) << sql << " run " << run;
+      }
+    }
+  }
+}
+
 // Comparisons on the time column fold into one window that drives the
 // Z2T index, whatever their form.
 TEST_F(ExecutorParityTest, TimeComparisonsRunOnTheTemporalIndex) {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "cluster/region_cluster.h"
+#include "cluster_scan_util.h"
 #include "common/bytes.h"
 #include "net_harness.h"
 #include "test_util.h"
@@ -12,6 +13,7 @@
 namespace just::cluster {
 namespace {
 
+using just::testing::CollectParallelScan;
 using just::testing::ServerProcess;
 using just::testing::TempDir;
 
@@ -93,13 +95,14 @@ TEST_P(RegionClusterTest, ParallelScanHonorsRangeBounds) {
   curve::KeyRange r2{ShardKey(1, "050"), ShardKey(1, "055"), false};
   ranges.push_back(r1);
   ranges.push_back(r2);
-  auto results = (*cluster)->ParallelScan(ranges);
+  auto results = CollectParallelScan(**cluster, ranges);
   ASSERT_TRUE(results.ok());
   ASSERT_EQ(results->size(), 2u);
-  EXPECT_EQ((*results)[0].rows.size(), 10u);
-  EXPECT_TRUE((*results)[0].contained);
-  EXPECT_EQ((*results)[1].rows.size(), 5u);
-  EXPECT_FALSE((*results)[1].contained);
+  // Each range's rows reach the consumer under that range's index.
+  ASSERT_EQ((*results)[0].rows.size(), 10u);
+  EXPECT_EQ((*results)[0].rows.front().first, ShardKey(1, "010"));
+  ASSERT_EQ((*results)[1].rows.size(), 5u);
+  EXPECT_EQ((*results)[1].rows.front().first, ShardKey(1, "050"));
 }
 
 TEST_P(RegionClusterTest, ParallelScanManyRanges) {
@@ -117,10 +120,13 @@ TEST_P(RegionClusterTest, ParallelScanManyRanges) {
     ranges.push_back(curve::KeyRange{ShardKey(shard, "000"),
                                      ShardKey(shard, "025"), false});
   }
-  auto results = (*cluster)->ParallelScan(ranges);
+  auto results = CollectParallelScan(**cluster, ranges);
   ASSERT_TRUE(results.ok());
   size_t total = 0;
-  for (const auto& rr : *results) total += rr.rows.size();
+  for (const auto& rr : *results) {
+    EXPECT_EQ(rr.rows.size(), 25u);
+    total += rr.rows.size();
+  }
   EXPECT_EQ(total, 8u * 25u);
 }
 

@@ -128,6 +128,25 @@ TEST_F(ExplainAnalyzeTest, AnalyzePrintsAnnotatedSpanTree) {
             std::string::npos);
 }
 
+// The scan workers time decode plus refinement; EXPLAIN ANALYZE prints the
+// total on the ParallelScan line, and the registry histogram records it.
+TEST_F(ExplainAnalyzeTest, AnalyzePrintsScanDecodeTime) {
+  auto& registry = obs::Registry::Global();
+  obs::RegistrySnapshot before = registry.GetSnapshot();
+  auto r = Run(std::string("EXPLAIN ANALYZE ") + kStQuery);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  obs::RegistrySnapshot after = registry.GetSnapshot();
+  const std::string& msg = r->message;
+  const size_t at = msg.find("cluster.ParallelScan");
+  ASSERT_NE(at, std::string::npos) << msg;
+  const std::string line = msg.substr(at, msg.find('\n', at) - at);
+  // Printed only when nonzero.
+  EXPECT_NE(line.find(" decode="), std::string::npos) << line;
+  EXPECT_EQ(after.histograms["just_scan_decode_us"].count -
+                before.histograms["just_scan_decode_us"].count,
+            1u);
+}
+
 // The acceptance criterion: the counters EXPLAIN ANALYZE prints equal the
 // registry delta across the same query.
 TEST_F(ExplainAnalyzeTest, AnalyzeCountersMatchRegistryDelta) {

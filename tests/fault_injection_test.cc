@@ -8,11 +8,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
 
 #include "cluster/region_cluster.h"
+#include "cluster_scan_util.h"
+#include "core/table.h"
+#include "geo/geometry.h"
+#include "meta/catalog.h"
+#include "obs/metrics.h"
 #include "kvstore/fault_env.h"
 #include "kvstore/lsm_store.h"
 #include "test_util.h"
@@ -242,6 +248,12 @@ TEST(ClusterFaultTest, GetRetriesTransientReadFault) {
   EXPECT_EQ(v, value_of(4));
 }
 
+uint64_t RetriesTotal() {
+  return obs::Registry::Global()
+      .GetCounter("just_cluster_retries_total")
+      ->Value();
+}
+
 TEST(ClusterFaultTest, ParallelScanRetriesWithoutDuplicatingRows) {
   TempDir dir("cluster_scan_retry");
   FaultInjectionEnv env;
@@ -251,20 +263,106 @@ TEST(ClusterFaultTest, ParallelScanRetriesWithoutDuplicatingRows) {
   for (int i = 0; i < kRows; ++i) {
     std::string key(1, static_cast<char>('A' + i % 26));
     key += std::to_string(i);
-    ASSERT_TRUE((*cluster)->Put(key, "v").ok());
+    // Values near half a block: each server's table spans several blocks.
+    ASSERT_TRUE((*cluster)->Put(key, std::string(100, 'v')).ok());
   }
   ASSERT_TRUE((*cluster)->FlushAll().ok());
+  ASSERT_TRUE((*cluster)->CompactAll().ok());
 
+  // Opening a table caches its first block, so the failing read is a later
+  // block: the fault lands in the middle of a server's part.
   curve::KeyRange everything;  // empty start + end: all servers, all keys
+  const uint64_t retries_before = RetriesTotal();
   env.FailNextReads(1);
-  auto results = (*cluster)->ParallelScan({everything});
+  auto results = just::testing::CollectParallelScan(**cluster, {everything});
   ASSERT_TRUE(results.ok()) << results.status().ToString();
+  EXPECT_EQ(RetriesTotal() - retries_before, 1u);
+  const just::testing::CollectedRange& range = (*results)[0];
   std::set<std::string> seen;
-  for (const auto& row : (*results)[0].rows) {
-    EXPECT_TRUE(seen.insert(row.key).second)
-        << "row " << row.key << " duplicated by retry";
+  for (const auto& row : range.rows) {
+    EXPECT_TRUE(seen.insert(row.first).second)
+        << "row " << row.first << " duplicated by retry";
   }
   EXPECT_EQ(seen.size(), static_cast<size_t>(kRows));
+  // One part was attempted twice, and its first attempt's rows were
+  // dropped at the retry's begin.
+  EXPECT_EQ(range.begins, range.commits + 1);
+  EXPECT_GT(range.dropped, 0u);
+}
+
+// The same guarantee through the decode path: StTable's scan workers decode
+// each part after it commits, so a read fault in the middle of a range
+// neither duplicates rows nor counts the failed attempt's rows as scanned.
+TEST(ClusterFaultTest, TableScansRetryMidRangeWithoutDuplicatingRows) {
+  const int kRows = 120;
+  meta::TableMeta meta;
+  meta.user = "u";
+  meta.name = "pts";
+  meta.table_id = 1;
+  meta.columns = {
+      {"fid", exec::DataType::kString, true, "", ""},
+      {"time", exec::DataType::kTimestamp, false, "", ""},
+      {"geom", exec::DataType::kGeometry, false, "4326", ""},
+      {"note", exec::DataType::kString, false, "", ""},
+  };
+  meta.fid_column = "fid";
+  meta.time_column = "time";
+  meta.geom_column = "geom";
+  meta.indexes = {meta::IndexConfig{curve::IndexType::kZ2, kMillisPerDay}};
+  curve::IndexOptions index_options;
+  index_options.num_shards = 2;
+
+  enum class Query { kSpatialRange, kFullScan };
+  for (Query query : {Query::kSpatialRange, Query::kFullScan}) {
+    SCOPED_TRACE(query == Query::kSpatialRange ? "spatial range" : "full scan");
+    TempDir dir("table_scan_retry");
+    FaultInjectionEnv env;
+    cluster::ClusterOptions copts = SmallCluster(dir.path(), &env);
+    copts.num_servers = 2;  // one shard per server
+    auto cluster = cluster::RegionCluster::Open(copts);
+    ASSERT_TRUE(cluster.ok());
+    core::StTable table(meta, cluster->get(), index_options);
+    std::vector<exec::Row> rows;
+    for (int i = 0; i < kRows; ++i) {
+      rows.push_back(
+          {exec::Value::String("f" + std::to_string(i)),
+           exec::Value::Timestamp(1000 + i),
+           exec::Value::GeometryVal(geo::Geometry::MakePoint(
+               {116.0 + 0.001 * i, 39.0 + 0.002 * (i % 37)})),
+           exec::Value::String(std::string(80, 'n'))});
+    }
+    ASSERT_TRUE(table.InsertBatch(rows).ok());
+    ASSERT_TRUE((*cluster)->FlushAll().ok());
+    ASSERT_TRUE((*cluster)->CompactAll().ok());
+
+    const uint64_t retries_before = RetriesTotal();
+    env.FailNextReads(1);
+    core::QueryStats stats;
+    auto batches = query == Query::kSpatialRange
+                       ? table.SpatialRangeQueryBatch(geo::Mbr::World(), &stats)
+                       : table.FullScanBatch(&stats);
+    ASSERT_TRUE(batches.ok()) << batches.status().ToString();
+    EXPECT_EQ(RetriesTotal() - retries_before, 1u);
+    std::set<std::string> fids;
+    size_t returned = 0;
+    for (const exec::ColumnBatch& batch : *batches) {
+      for (size_t r = 0; r < batch.num_rows(); ++r) {
+        if (batch.has_selection() &&
+            !std::binary_search(batch.selection().begin(),
+                                batch.selection().end(),
+                                static_cast<uint32_t>(r))) {
+          continue;
+        }
+        ++returned;
+        EXPECT_TRUE(fids.insert(batch.column(0).StringAt(r)).second)
+            << batch.column(0).StringAt(r) << " returned twice";
+      }
+    }
+    EXPECT_EQ(returned, static_cast<size_t>(kRows));
+    EXPECT_EQ(fids.size(), static_cast<size_t>(kRows));
+    EXPECT_EQ(stats.rows_scanned, static_cast<size_t>(kRows));
+    EXPECT_EQ(stats.rows_matched, static_cast<size_t>(kRows));
+  }
 }
 
 TEST(ClusterFaultTest, PutRetriesTransientWriteFault) {

@@ -301,6 +301,7 @@ TEST(TraceCodecTest, RoundTripsTreeWithCountersAndAttrs) {
     TraceBytesRead(4096);
     TraceRowsScanned(50);
     TraceKeyRanges(2);
+    TraceDecodeNs(1500000);
     {
       ScopedSpan child("sst_read");
       child.span()->AddAttr("level", "1");
@@ -321,12 +322,14 @@ TEST(TraceCodecTest, RoundTripsTreeWithCountersAndAttrs) {
   EXPECT_EQ(grafted->TotalRowsScanned(), 50u);
   EXPECT_EQ(grafted->TotalKeyRanges(), 2u);
   EXPECT_EQ(grafted->TotalCacheHits(), 1u);
+  EXPECT_EQ(grafted->counters().decode_ns.load(), 1500000u);
   ASSERT_EQ(grafted->children().size(), 1u);
   EXPECT_EQ(grafted->children()[0]->name(), "sst_read");
   // Attrs and wall time survive, so the rendered tree shows remote timing.
   std::string text = host.ToString();
   EXPECT_NE(text.find("rpc.scan"), std::string::npos);
   EXPECT_NE(text.find("queue_us=12"), std::string::npos);
+  EXPECT_NE(text.find(" decode=1.500ms"), std::string::npos) << text;
   EXPECT_NE(text.find("sst_read level=1"), std::string::npos);
 }
 

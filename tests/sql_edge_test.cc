@@ -233,6 +233,54 @@ TEST_F(SqlEdgeTest, SpatialQueryOnTimeAwareOnlyTable) {
   EXPECT_EQ(got, (std::vector<std::string>{"p", "q"}));
 }
 
+// A box beside a closed window of about 1.2e9 daily periods used to plan
+// ranges for every period and shard until memory ran out. Past the planner's
+// cap of 65,536 ranges the window scans its per-shard period spans and
+// refinement applies the box, so the answer is still the full-scan one.
+TEST_F(SqlEdgeTest, BoxWithVeryLongWindowPlansBoundedRanges) {
+  constexpr uint64_t kMaxPlannedRanges = 1 << 16;
+  const std::string where =
+      "geom WITHIN st_makeMBR(116.0, 39.0, 117.0, 40.0) AND "
+      "time BETWEEN 0 AND 100000000000000000";
+  for (const std::string index : {"z2t", "xz2t", "z3"}) {
+    SCOPED_TRACE(index);
+    const std::string table = "long_" + index;
+    ASSERT_TRUE(Run("CREATE TABLE " + table +
+                    " (fid string:primary key, time date, geom point) "
+                    "USERDATA {'geomesa.indices.enabled':'" + index + "'}")
+                    .ok());
+    ASSERT_TRUE(
+        Run("INSERT INTO " + table + " VALUES "
+            "('p', '2018-10-01 00:00:00', st_makePoint(116.4, 39.9)), "
+            "('q', '1969-12-31 12:00:00', st_makePoint(116.41, 39.91)), "
+            "('r', '2018-10-02 00:00:00', st_makePoint(10.0, 10.0)), "
+            "('s', '2031-05-17 08:00:00', st_makePoint(116.9, 39.1))")
+            .ok());
+    auto fids = [](const QueryResult& result) {
+      std::vector<std::string> out;
+      for (const auto& row : result.frame.rows()) {
+        out.push_back(row[0].ToString());
+      }
+      std::sort(out.begin(), out.end());
+      return out;
+    };
+    const uint64_t ranges_before =
+        obs::Registry::Global().CounterValue("just_query_key_ranges_total");
+    auto r = Run("SELECT fid FROM " + table + " WHERE " + where);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_LE(obs::Registry::Global().CounterValue(
+                  "just_query_key_ranges_total") -
+                  ranges_before,
+              kMaxPlannedRanges);
+    // An OR is never pushed to an index: this one full-scans and filters.
+    auto full = Run("SELECT fid FROM " + table + " WHERE (" + where +
+                    ") OR fid = 'none'");
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
+    EXPECT_EQ(fids(*full), (std::vector<std::string>{"p", "s"}));
+    EXPECT_EQ(fids(*r), fids(*full));
+  }
+}
+
 TEST_F(SqlEdgeTest, DivisionByZeroIsAnError) {
   EXPECT_FALSE(Run("SELECT fid FROM t WHERE n = 1 / 0").ok());
 }

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "cluster/region_cluster.h"
+#include "cluster_scan_util.h"
 #include "kvstore/fault_env.h"
 #include "kvstore/lsm_store.h"
 #include "obs/metrics.h"
@@ -304,11 +305,13 @@ TEST(ClusterScanTest, ParallelScanCoversCrossShardRanges) {
   curve::KeyRange range;
   range.start = std::string(1, 4);
   range.end = std::string(1, 7);
-  auto results_or = cluster->ParallelScan({range});
+  auto results_or = just::testing::CollectParallelScan(*cluster, {range});
   ASSERT_TRUE(results_or.ok());
   std::set<std::string> got;
-  for (const auto& row : (*results_or)[0].rows) got.insert(row.key);
+  for (const auto& row : (*results_or)[0].rows) got.insert(row.first);
   EXPECT_EQ(got, expected);
+  // The range spans shard bytes, so every server scans its part of it.
+  EXPECT_EQ((*results_or)[0].commits, cluster->num_servers());
 }
 
 TEST(ClusterScanTest, ParallelScanSingleShardRangeStillWorks) {
@@ -326,7 +329,7 @@ TEST(ClusterScanTest, ParallelScanSingleShardRangeStillWorks) {
   curve::KeyRange range;
   range.start = std::string(1, 3) + "k";
   range.end = std::string(1, 4);
-  auto results_or = cluster->ParallelScan({range});
+  auto results_or = just::testing::CollectParallelScan(*cluster, {range});
   ASSERT_TRUE(results_or.ok());
   EXPECT_EQ((*results_or)[0].rows.size(), 10u);
 }
@@ -355,7 +358,7 @@ TEST(ClusterScanTest, ParallelScanCountsRowsFetched) {
   }
   const uint64_t fetched_before =
       GlobalCounter("just_cluster_scan_rows_fetched_total");
-  auto results_or = cluster->ParallelScan(ranges);
+  auto results_or = just::testing::CollectParallelScan(*cluster, ranges);
   ASSERT_TRUE(results_or.ok());
   size_t rows = 0;
   for (const auto& result : *results_or) rows += result.rows.size();
